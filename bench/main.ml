@@ -1534,6 +1534,8 @@ let sections =
     "file", file;
     "filesmoke", filesmoke ]
 
+(* Every argument is checked before anything runs: a misspelled section
+   or flag exits 2 instead of silently testing nothing. *)
 let () =
   let names =
     List.filter
@@ -1547,12 +1549,14 @@ let () =
         | _ -> true)
       (List.tl (Array.to_list Sys.argv))
   in
+  (match List.filter (fun n -> not (List.mem_assoc n sections)) names with
+  | [] -> ()
+  | bad ->
+      List.iter (fun n -> Printf.eprintf "unknown section or flag %S\n" n) bad;
+      Printf.eprintf "usage: main.exe [--sg] [--json] [section ...]\nsections: %s\n"
+        (String.concat " " (List.map fst sections));
+      exit 2);
   let requested = match names with [] -> List.map fst sections | ns -> ns in
   print_endline "Flux OSKit reproduction — benchmark harness";
   Printf.printf "(virtual testbed: 2x 200MHz PCs, 100 Mbps Ethernet; %d-block runs)\n" blocks;
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None -> Printf.printf "unknown section %S\n" name)
-    requested
+  List.iter (fun name -> (List.assoc name sections) ()) requested

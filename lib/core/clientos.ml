@@ -95,6 +95,9 @@ let reset_globals () =
      first run; every run starts cold. *)
   Mbuf.pool_reset ();
   Skbuff.pool_reset ();
+  (* The wheel registry pins every machine that ever armed a wheel timer,
+     and through it that machine's whole world. *)
+  Kwheel.registry := [];
   (* Counters only: the cost *configuration* belongs to the experiment
      (ablations sweep it around individual runs). *)
   Cost.reset_counters ()

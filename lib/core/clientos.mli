@@ -68,7 +68,8 @@ val spawn : host -> ?cpu:int -> ?name:string -> (unit -> unit) -> unit
     progress fuel bound. *)
 val run : testbed -> until:(unit -> bool) -> unit
 
-(** Reset cross-simulation global state (driver probe lists, cost
-    counters — but not the cost configuration, which experiments own).
+(** Reset cross-simulation global state (driver probe lists, buffer
+    pools, the timing-wheel registry, cost counters — but not the cost
+    configuration, which experiments own).
     Call between independent simulations in one process. *)
 val reset_globals : unit -> unit

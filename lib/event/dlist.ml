@@ -32,6 +32,13 @@ let push_back t v =
   t.length <- t.length + 1;
   n
 
+let push_front t v =
+  let n = { v; prev = None; next = t.first; owner = Some t } in
+  (match t.first with None -> t.last <- Some n | Some f -> f.prev <- Some n);
+  t.first <- Some n;
+  t.length <- t.length + 1;
+  n
+
 let remove n =
   match n.owner with
   | None -> ()
@@ -61,6 +68,21 @@ let iter f t =
         go next
   in
   go t.first
+
+let find_opt f t =
+  let rec go = function
+    | None -> None
+    | Some n -> if f n.v then Some n.v else go n.next
+  in
+  go t.first
+
+(* The first [k] values, front to back, left linked. *)
+let prefix t k =
+  let rec go acc k = function
+    | Some n when k > 0 -> go (n.v :: acc) (k - 1) n.next
+    | _ -> List.rev acc
+  in
+  go [] k t.first
 
 let to_list t =
   let acc = ref [] in

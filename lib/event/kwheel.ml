@@ -75,8 +75,8 @@ let stats t =
 
 (* One shared instance per machine, so stacks and the httpd on the same
    machine arm the same per-CPU wheels.  Keyed by physical identity; the
-   registry only ever holds machines that armed a wheel timer, so its
-   footprint is a handful of entries per process. *)
+   registry holds every machine that armed a wheel timer since the last
+   [Clientos.reset_globals], which empties it between simulations. *)
 let registry : (Machine.t * t) list ref = ref []
 
 let for_machine machine =

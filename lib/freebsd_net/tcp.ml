@@ -177,6 +177,11 @@ type tcpcb = {
   mutable backlog : int;
   mutable listen_parent : tcpcb option;
   mutable syn_cache : sc_entry list; (* newest first; listeners only *)
+  mutable embryos : int; (* listeners: SYN_RCVD children still registered *)
+  mutable embryonic : bool; (* counted in [listen_parent]'s [embryos] *)
+  (* bookkeeping: this pcb's nodes in the stack's live and TIME_WAIT sets *)
+  mutable live : tcpcb Dlist.node option;
+  mutable tw_node : tcpcb Dlist.node option;
   (* socket-layer callbacks *)
   mutable on_readable : unit -> unit;
   mutable on_writable : unit -> unit;
@@ -191,11 +196,18 @@ type tcpcb = {
 and t = {
   ip : Ip.t;
   machine : Machine.t;
-  mutable pcbs : tcpcb list;
+  (* Registered pcbs, newest first: the order the tick walks visit (and
+     charge) them in.  Connection setup and teardown must cost the same
+     with ten pcbs or ten thousand, so nothing below scans this set on a
+     per-connection path: ports, listeners and embryonic children each
+     have their own index. *)
+  pcbs : tcpcb Dlist.t;
+  port_refs : (int, int) Hashtbl.t; (* lport -> registered pcbs using it *)
+  listeners : (int, tcpcb list) Hashtbl.t; (* lport -> listeners, newest first *)
   (* O(1) demux (Cost.config.pcb_hash): connected pcbs keyed by
      (raddr, rport, lport), plus the donor's tcp_last_inpcb one-entry
      cache.  Maintained unconditionally so the flag can flip mid-run;
-     listeners stay out (they are found by the lport-only fallback scan). *)
+     listeners stay out (they are found through [listeners]). *)
   pcb_hash : (int32 * int * int, tcpcb) Hashtbl.t;
   mutable last_pcb : tcpcb option;
   mutable next_ephemeral : int;
@@ -204,7 +216,7 @@ and t = {
   (* TIME_WAIT pcbs oldest-first, for the tw_max cap and memory-pressure
      reclaim.  Maintained unconditionally (pure bookkeeping, no cycle
      charges) so the knob can flip mid-run. *)
-  mutable tw_list : tcpcb list;
+  tw_list : tcpcb Dlist.t;
   cookie_secret : int;
   (* token bucket for error responses (Cost.config.icmp_ratelimit) *)
   mutable err_tokens : float;
@@ -240,6 +252,7 @@ let create_pcb t =
     t_rttvar = 24; t_rxtcur = 2; t_rxtshift = 0; ack_now = false; delack_pending = false;
     t_dupacks = 0; rxclump_ts = 0; rxclump_bytes = 0;
     accept_q = Queue.create (); backlog = 0; listen_parent = None; syn_cache = [];
+    embryos = 0; embryonic = false; live = None; tw_node = None;
     on_readable = (fun () -> ()); on_writable = (fun () -> ());
     on_state = (fun () -> ()); so_error = None; home_cpu = 0 }
 
@@ -263,8 +276,51 @@ let setup_scaling pcb ~peer =
 
 let hash_key pcb = (pcb.raddr, pcb.rport, pcb.lport)
 
+(* The per-port indexes hold registered pcbs under their current lport. *)
+let port_users t port = Option.value (Hashtbl.find_opt t.port_refs port) ~default:0
+let port_in_use t port = Hashtbl.mem t.port_refs port
+let listeners_on t port = Option.value (Hashtbl.find_opt t.listeners port) ~default:[]
+
+let add_listener t pcb =
+  if pcb.t_state = Listen then begin
+    let ls = listeners_on t pcb.lport in
+    if not (List.memq pcb ls) then Hashtbl.replace t.listeners pcb.lport (pcb :: ls)
+  end
+
+let index_port t pcb =
+  Hashtbl.replace t.port_refs pcb.lport (port_users t pcb.lport + 1);
+  add_listener t pcb
+
+let unindex_port t pcb =
+  let p = pcb.lport in
+  (match port_users t p with
+  | 1 -> Hashtbl.remove t.port_refs p
+  | n -> Hashtbl.replace t.port_refs p (n - 1));
+  let ls = listeners_on t p in
+  if List.memq pcb ls then
+    match List.filter (fun x -> x != pcb) ls with
+    | [] -> Hashtbl.remove t.listeners p
+    | rest -> Hashtbl.replace t.listeners p rest
+
+(* A SYN_RCVD child stops counting against its listener's backlog when it
+   leaves that state or the stack. *)
+let settle_embryo pcb =
+  if pcb.embryonic then begin
+    pcb.embryonic <- false;
+    match pcb.listen_parent with Some l -> l.embryos <- l.embryos - 1 | None -> ()
+  end
+
 let register t pcb =
-  if not (List.memq pcb t.pcbs) then t.pcbs <- pcb :: t.pcbs;
+  (match pcb.live with
+  | Some _ -> add_listener t pcb (* already registered: a re-listen *)
+  | None ->
+      pcb.live <- Some (Dlist.push_front t.pcbs pcb);
+      index_port t pcb;
+      (match pcb.listen_parent with
+      | Some l when pcb.t_state = Syn_received ->
+          pcb.embryonic <- true;
+          l.embryos <- l.embryos + 1
+      | _ -> ()));
   if pcb.t_state <> Listen then begin
     Hashtbl.replace t.pcb_hash (hash_key pcb) pcb;
     (* The flow's home CPU is fixed by the same symmetric hash the NIC
@@ -340,8 +396,18 @@ let detach t pcb =
     Sockbuf.sbdrop pcb.snd_buf pcb.snd_buf.Sockbuf.sb_cc;
     Sockbuf.sbdrop pcb.rcv_buf pcb.rcv_buf.Sockbuf.sb_cc
   end;
-  t.pcbs <- List.filter (fun x -> x != pcb) t.pcbs;
-  if t.tw_list <> [] then t.tw_list <- List.filter (fun x -> x != pcb) t.tw_list;
+  (match pcb.live with
+  | Some n ->
+      Dlist.remove n;
+      pcb.live <- None;
+      unindex_port t pcb
+  | None -> ());
+  (match pcb.tw_node with
+  | Some n ->
+      Dlist.remove n;
+      pcb.tw_node <- None
+  | None -> ());
+  settle_embryo pcb;
   (match Hashtbl.find_opt t.pcb_hash (hash_key pcb) with
   | Some p when p == pcb -> Hashtbl.remove t.pcb_hash (hash_key pcb)
   | _ -> ());
@@ -352,8 +418,7 @@ let next_iss t =
   t.iss_source
 
 let alloc_port t =
-  let used p = List.exists (fun x -> x.lport = p) t.pcbs in
-  let rec pick p = if used p then pick (p + 1) else p in
+  let rec pick p = if port_in_use t p then pick (p + 1) else p in
   let p = pick t.next_ephemeral in
   t.next_ephemeral <- p + 1;
   p
@@ -403,8 +468,6 @@ let check_cookie t ~raddr ~rport ~lport ~iss =
    BSD tradeoff) and every cached half-open handshake (the cookie can
    still complete those statelessly). *)
 let tcp_reclaim t =
-  let tw = t.tw_list in
-  t.tw_list <- [];
   List.iter
     (fun pcb ->
       if pcb.t_state = Time_wait then begin
@@ -414,14 +477,19 @@ let tcp_reclaim t =
         detach t pcb;
         pcb.on_state ()
       end)
-    tw;
-  List.iter
-    (fun pcb ->
-      if pcb.syn_cache <> [] then begin
-        bump t (fun s -> s.syncache_evicted <- s.syncache_evicted + List.length pcb.syn_cache);
-        pcb.syn_cache <- []
-      end)
-    t.pcbs
+    (Dlist.drain t.tw_list);
+  (* Only listeners hold syncache entries. *)
+  Hashtbl.iter
+    (fun _ ls ->
+      List.iter
+        (fun pcb ->
+          if pcb.syn_cache <> [] then begin
+            bump t (fun s ->
+                s.syncache_evicted <- s.syncache_evicted + List.length pcb.syn_cache);
+            pcb.syn_cache <- []
+          end)
+        ls)
+    t.listeners
 
 (* Token bucket on generated error responses (the RST answering a segment
    no connection claims): depth and rate are Cost.config.icmp_ratelimit
@@ -458,7 +526,7 @@ let rec ensure_timers t =
     let rec slow () =
       ignore
         (Machine.after t.machine slow_interval_ns (fun () ->
-             if t.pcbs = [] then t.ticking <- false
+             if Dlist.is_empty t.pcbs then t.ticking <- false
              else begin
                slow_tick t;
                slow ()
@@ -467,7 +535,7 @@ let rec ensure_timers t =
     let rec fast () =
       ignore
         (Machine.after t.machine fast_interval_ns (fun () ->
-             if t.pcbs <> [] then begin
+             if not (Dlist.is_empty t.pcbs) then begin
                fast_tick t;
                fast ()
              end))
@@ -834,7 +902,8 @@ and tick_by_home t pcbs per_pcb =
 
 and slow_tick t =
   if not (wheel_on ()) then
-    tick_by_home t (List.filter (fun p -> p.t_state <> Listen) t.pcbs) slow_tick_pcb
+    tick_by_home t (List.filter (fun p -> p.t_state <> Listen) (Dlist.to_list t.pcbs))
+      slow_tick_pcb
 
 and fast_tick_pcb t pcb =
   Cost.count_tick_visit ();
@@ -845,7 +914,7 @@ and fast_tick_pcb t pcb =
     tcp_output t pcb
   end
 
-and fast_tick t = if not (wheel_on ()) then tick_by_home t t.pcbs fast_tick_pcb
+and fast_tick t = if not (wheel_on ()) then tick_by_home t (Dlist.to_list t.pcbs) fast_tick_pcb
 
 (* ------------------------------------------------------------------ *)
 (* RTT estimation (Jacobson, BSD fixed point)                          *)
@@ -926,26 +995,19 @@ let find_pcb t ~src ~sport ~dport =
           | _ -> None)
     end
     else
-      List.find_opt
+      Dlist.find_opt
         (fun p ->
           p.lport = dport && p.rport = sport && Int32.equal p.raddr src && p.t_state <> Listen)
         t.pcbs
   in
   match connected with
   | Some _ as r -> r
-  | None -> List.find_opt (fun p -> p.lport = dport && p.t_state = Listen) t.pcbs
+  | None -> List.find_opt (fun p -> p.t_state = Listen) (listeners_on t dport)
 
 (* Embryonic connections (SYN_RCVD children of [pcb]) count against the
    listen backlog alongside the already-established, not-yet-accepted ones
    on the accept queue — the donor's so_qlen + so_q0len. *)
-let listen_q_len t pcb =
-  Queue.length pcb.accept_q
-  + List.length
-      (List.filter
-         (fun p ->
-           p.t_state = Syn_received
-           && match p.listen_parent with Some x -> x == pcb | None -> false)
-         t.pcbs)
+let listen_q_len pcb = Queue.length pcb.accept_q + pcb.embryos
 
 (* Enter TIME_WAIT, maintaining the oldest-first list; with tw_max set,
    a connection-churn storm reclaims the oldest immediately instead of
@@ -953,24 +1015,18 @@ let listen_q_len t pcb =
 let enter_time_wait t pcb =
   pcb.t_state <- Time_wait;
   set_2msl t pcb (2 * msl_ticks);
-  t.tw_list <- t.tw_list @ [ pcb ];
+  pcb.tw_node <- Some (Dlist.push_back t.tw_list pcb);
   let cap = Cost.config.tw_max in
-  if cap > 0 then begin
-    let live = List.filter (fun p -> p.t_state = Time_wait) t.tw_list in
-    t.tw_list <- live;
-    let excess = List.length live - cap in
-    if excess > 0 then
-      List.iteri
-        (fun i victim ->
-          if i < excess then begin
-            victim.t_state <- Closed;
-            victim.tm_2msl <- 0;
-            bump t (fun s -> s.time_wait_reclaimed <- s.time_wait_reclaimed + 1);
-            detach t victim;
-            victim.on_state ()
-          end)
-        live
-  end
+  let excess = Dlist.length t.tw_list - cap in
+  if cap > 0 && excess > 0 then
+    List.iter
+      (fun victim ->
+        victim.t_state <- Closed;
+        victim.tm_2msl <- 0;
+        bump t (fun s -> s.time_wait_reclaimed <- s.time_wait_reclaimed + 1);
+        detach t victim;
+        victim.on_state ())
+      (Dlist.prefix t.tw_list excess)
 
 (* Cache (or re-answer) a half-open handshake without creating a child
    pcb.  Over capacity the oldest entry is evicted — not killed: the
@@ -1002,6 +1058,7 @@ let syncache_add t pcb ~src ~sport ~seq ~mss =
         ~irs:seq ~mss:mss'
 
 let enter_established t pcb =
+  settle_embryo pcb;
   match pcb.listen_parent with
   | Some parent when parent.t_state <> Listen ->
       (* The listener closed while our handshake completed: nobody will
@@ -1135,7 +1192,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
         (if Cost.config.syn_defense then
            (* Embryonic state lives in the syncache, off the backlog. *)
            syncache_add t pcb ~src ~sport ~seq ~mss
-         else if listen_q_len t pcb >= max 1 pcb.backlog then
+         else if listen_q_len pcb >= max 1 pcb.backlog then
           (* Queue overflow: drop the SYN on the floor (the peer will
              retransmit it) and count the drop. *)
           bump t (fun s -> s.listen_overflow <- s.listen_overflow + 1)
@@ -1372,6 +1429,7 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
           pcb.on_readable ();
           match pcb.t_state with
           | Syn_received | Established ->
+              settle_embryo pcb;
               pcb.t_state <- Close_wait;
               pcb.on_state ()
           | Fin_wait_1 ->
@@ -1639,9 +1697,10 @@ let make_stats () =
 
 let attach ip machine =
   let t =
-    { ip; machine; pcbs = []; pcb_hash = Hashtbl.create 64; last_pcb = None;
+    { ip; machine; pcbs = Dlist.create (); port_refs = Hashtbl.create 64;
+      listeners = Hashtbl.create 8; pcb_hash = Hashtbl.create 64; last_pcb = None;
       next_ephemeral = 1024; iss_source = 1;
-      ticking = false; tw_list = []; cookie_secret = 0x6b8b4567;
+      ticking = false; tw_list = Dlist.create (); cookie_secret = 0x6b8b4567;
       err_tokens = float_of_int Cost.config.icmp_ratelimit; err_tok_ts = 0;
       stats = make_stats ();
       stats_shards = Array.init (Machine.ncpus machine) (fun _ -> make_stats ());
@@ -1651,10 +1710,13 @@ let attach ip machine =
   t
 
 let usr_bind t pcb ~port =
-  if List.exists (fun x -> x != pcb && x.lport = port && x.t_state = Listen) t.pcbs then
+  if List.exists (fun x -> x != pcb && x.t_state = Listen) (listeners_on t port) then
     Result.Error Error.Addrinuse
   else begin
+    let live = pcb.live <> None in
+    if live then unindex_port t pcb;
     pcb.lport <- port;
+    if live then index_port t pcb;
     pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
     Ok ()
   end
@@ -1827,10 +1889,11 @@ let usr_close t pcb =
             p.t_state = Syn_received
             && match p.listen_parent with Some x -> x == pcb | None -> false
           then usr_abort t p)
-        t.pcbs;
+        (Dlist.to_list t.pcbs);
       detach t pcb;
       pcb.on_state ()
   | Syn_received | Established ->
+      settle_embryo pcb;
       pcb.snd_fin_pending <- true;
       pcb.t_state <- Fin_wait_1;
       pcb.on_state ();

@@ -12,11 +12,13 @@ type pcb = {
   mutable rcv_cc : int;
   mutable on_readable : unit -> unit;
   mutable dropped : int;
+  mutable live : pcb Dlist.node option; (* node in the stack's [pcbs] *)
 }
 
 type t = {
   ip : Ip.t;
-  mutable pcbs : pcb list;
+  pcbs : pcb Dlist.t; (* newest first: the linear demux's search order *)
+  port_refs : (int, int) Hashtbl.t; (* lport -> live pcbs bound to it *)
   (* O(1) demux (Cost.config.pcb_hash), sharing the TCP scheme: exact
      4-tuple key for connected pcbs, (0, 0, lport) for wildcard binds.
      Rebuilt on bind/alloc/detach — the only places lport changes. *)
@@ -32,6 +34,23 @@ type t = {
   mutable icmp_tokens : float;
   mutable icmp_tok_ts : int;
 }
+
+let port_users t port = Option.value (Hashtbl.find_opt t.port_refs port) ~default:0
+
+let ref_port t port = Hashtbl.replace t.port_refs port (port_users t port + 1)
+
+let unref_port t port =
+  match port_users t port with
+  | 1 -> Hashtbl.remove t.port_refs port
+  | n -> Hashtbl.replace t.port_refs port (n - 1)
+
+(* Rebind [pcb], keeping the per-port use counts exact for live pcbs. *)
+let set_lport t pcb port =
+  if pcb.live <> None then begin
+    unref_port t pcb.lport;
+    ref_port t port
+  end;
+  pcb.lport <- port
 
 let hash_key p = (p.raddr, p.rport, p.lport)
 
@@ -67,7 +86,8 @@ let icmp_allowed t =
 
 let attach ip =
   let t =
-    { ip; pcbs = []; pcb_hash = Hashtbl.create 16; next_ephemeral = 49152;
+    { ip; pcbs = Dlist.create (); port_refs = Hashtbl.create 16;
+      pcb_hash = Hashtbl.create 16; next_ephemeral = 49152;
       badsum = 0; noport = 0; fulldrops = 0; unreach_sent = 0;
       icmp_ratelimited = 0; nomem_drops = 0;
       icmp_tokens = float_of_int Cost.config.icmp_ratelimit; icmp_tok_ts = 0 }
@@ -104,7 +124,7 @@ let attach ip =
                   Hashtbl.find_opt t.pcb_hash (0l, 0, dport)
             end
             else
-              List.find_opt
+              Dlist.find_opt
                 (fun p ->
                   p.lport = dport
                   && (p.rport = 0 || (p.rport = sport && Int32.equal p.raddr src)))
@@ -149,8 +169,7 @@ let attach ip =
   t
 
 let alloc_port t =
-  let used p = List.exists (fun x -> x.lport = p) t.pcbs in
-  let rec pick p = if used p then pick (p + 1) else p in
+  let rec pick p = if Hashtbl.mem t.port_refs p then pick (p + 1) else p in
   let p = pick t.next_ephemeral in
   t.next_ephemeral <- p + 1;
   p
@@ -158,29 +177,36 @@ let alloc_port t =
 let create_pcb t =
   let p =
     { lport = 0; laddr = 0l; rport = 0; raddr = 0l; rcv_q = Queue.create ();
-      rcv_hiwat = 64 * 1024; rcv_cc = 0; on_readable = (fun () -> ()); dropped = 0 }
+      rcv_hiwat = 64 * 1024; rcv_cc = 0; on_readable = (fun () -> ()); dropped = 0;
+      live = None }
   in
-  t.pcbs <- p :: t.pcbs;
+  p.live <- Some (Dlist.push_front t.pcbs p);
+  ref_port t p.lport;
   p
 
 let bind t pcb ~port =
-  if List.exists (fun x -> x != pcb && x.lport = port) t.pcbs then
-    Result.Error Error.Addrinuse
+  let own = if pcb.live <> None && pcb.lport = port then 1 else 0 in
+  if port_users t port > own then Result.Error Error.Addrinuse
   else begin
     hash_remove t pcb;
-    pcb.lport <- port;
+    set_lport t pcb port;
     pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
     hash_add t pcb;
     Ok ()
   end
 
 let detach t pcb =
-  t.pcbs <- List.filter (fun x -> x != pcb) t.pcbs;
+  (match pcb.live with
+  | Some n ->
+      Dlist.remove n;
+      pcb.live <- None;
+      unref_port t pcb.lport
+  | None -> ());
   hash_remove t pcb
 
 let rec output t pcb ~dst ~dport ~src ~src_pos ~len =
   if pcb.lport = 0 then begin
-    pcb.lport <- alloc_port t;
+    set_lport t pcb (alloc_port t);
     hash_add t pcb
   end;
   try output_dgram t pcb ~dst ~dport ~src ~src_pos ~len

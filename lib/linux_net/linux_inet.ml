@@ -96,8 +96,7 @@ type sock = {
   mutable rtt_seq : int; (* end seq of the timed segment *)
   mutable rtt_ts : int; (* ns at transmit; 0 = no sample in flight (Karn) *)
   mutable fin_queued : bool;
-  mutable rexmt_q : rexmt_entry list; (* oldest first *)
-  mutable rexmt_q_len : int; (* |rexmt_q|, kept so guards stay O(1) *)
+  rexmt_q : rexmt_entry Queue.t; (* oldest first, so seq-ascending *)
   (* zero-window persist probing *)
   mutable persist_armed : bool;
   mutable persist_shift : int;
@@ -133,6 +132,13 @@ type sock = {
   mutable nb : bool; (* O_NONBLOCK *)
   mutable listeners : ready_listener list;
   mutable next_lid : int;
+  (* bookkeeping: creation order, and this sock's nodes in the stack's
+     live and TIME_WAIT sets *)
+  sid : int;
+  mutable live : sock Dlist.node option;
+  mutable tw_node : sock Dlist.node option;
+  mutable embryos : int; (* listeners: SYN_RECV children still live *)
+  mutable embryonic : bool; (* counted in [parent]'s [embryos] *)
 }
 
 (* An unresolved ARP destination: bounded waiter queue, retry timer. *)
@@ -149,11 +155,17 @@ and stack = {
   mutable my_mask : int32;
   arp_cache : (int32, string) Hashtbl.t;
   arp_pending : (int32, arp_wait) Hashtbl.t;
-  mutable socks : sock list;
+  (* Live socks, newest first.  Nothing on a per-connection path scans
+     this set: ports, listeners and embryonic children have their own
+     indexes, so setup and teardown cost the same at any sock count. *)
+  socks : sock Dlist.t;
+  mutable next_sid : int;
+  port_refs : (int, int) Hashtbl.t; (* lport -> live socks using it *)
+  listen_socks : (int, sock list) Hashtbl.t; (* lport -> listeners, newest first *)
   (* O(1) demux (Cost.config.pcb_hash): connected socks keyed by
      (raddr, rport, lport) plus a one-entry last-sock cache; listeners are
-     found by the lport-only fallback scan.  Maintained unconditionally so
-     the flag can flip mid-run. *)
+     found through [listen_socks].  Maintained unconditionally so the flag
+     can flip mid-run. *)
   sock_hash : (int32 * int * int, sock) Hashtbl.t;
   mutable last_sock : sock option;
   mutable next_port : int;
@@ -178,7 +190,7 @@ and stack = {
   mutable predfallback : int; (* established-state segments that missed *)
   (* overload survival (Cost.config.syn_defense / tw_max / icmp_ratelimit) *)
   cookie_secret : int;
-  mutable tw_list : sock list; (* Time_wait socks, oldest first *)
+  tw_list : sock Dlist.t; (* Time_wait socks, oldest first *)
   mutable syncache_added : int;
   mutable syncache_evicted : int;
   mutable syncache_completed : int;
@@ -213,12 +225,13 @@ and lshard = {
 
 let create machine =
   { machine; dev = None; my_ip = 0l; my_mask = 0l; arp_cache = Hashtbl.create 16;
-    arp_pending = Hashtbl.create 4; socks = []; sock_hash = Hashtbl.create 64;
+    arp_pending = Hashtbl.create 4; socks = Dlist.create (); next_sid = 0;
+    port_refs = Hashtbl.create 64; listen_socks = Hashtbl.create 8; sock_hash = Hashtbl.create 64;
     last_sock = None; next_port = 1024; next_iss = 99000;
     ip_id = 1; segs_out = 0; segs_in = 0; rexmits = 0; ipbadsum = 0; tcpbadsum = 0;
     rcvdup = 0; rcvoo = 0; rcvfull = 0; arp_waiters_dropped = 0; arp_failures = 0;
     rexmt_give_ups = 0; persist_probes = 0; listen_overflow = 0; predack = 0;
-    preddat = 0; predfallback = 0; cookie_secret = 0x327b23c6; tw_list = [];
+    preddat = 0; predfallback = 0; cookie_secret = 0x327b23c6; tw_list = Dlist.create ();
     syncache_added = 0; syncache_evicted = 0; syncache_completed = 0;
     syncookies_validated = 0; syncookies_rejected = 0; time_wait_reclaimed = 0;
     nomem_drops = 0; rst_ratelimited = 0;
@@ -254,6 +267,67 @@ let sock_hash_remove t s =
   | Some x when x == s -> Hashtbl.remove t.sock_hash (sock_key s)
   | _ -> ());
   match t.last_sock with Some x when x == s -> t.last_sock <- None | _ -> ()
+
+(* ---- live-set indexes: ports, listeners, embryonic children ---- *)
+
+let port_users t port = Option.value (Hashtbl.find_opt t.port_refs port) ~default:0
+let port_in_use t port = Hashtbl.mem t.port_refs port
+let listeners_on t port = Option.value (Hashtbl.find_opt t.listen_socks port) ~default:[]
+
+(* Listeners on one port stay in live-set order (newest sock first), the
+   order the demux picks them in. *)
+let rec insert_listener s = function
+  | x :: rest when x.sid > s.sid -> x :: insert_listener s rest
+  | l -> s :: l
+
+let index_port t s =
+  let p = s.lport in
+  Hashtbl.replace t.port_refs p (port_users t p + 1);
+  if s.state = Listen then begin
+    let ls = listeners_on t p in
+    if not (List.memq s ls) then Hashtbl.replace t.listen_socks p (insert_listener s ls)
+  end
+
+let unindex_port t s =
+  let p = s.lport in
+  (match port_users t p with
+  | 1 -> Hashtbl.remove t.port_refs p
+  | n -> Hashtbl.replace t.port_refs p (n - 1));
+  let ls = listeners_on t p in
+  if List.memq s ls then
+    match List.filter (fun x -> x != s) ls with
+    | [] -> Hashtbl.remove t.listen_socks p
+    | rest -> Hashtbl.replace t.listen_socks p rest
+
+(* Rebind (or listen on) [s], keeping the indexes exact for live socks. *)
+let set_lport t s port =
+  let live = s.live <> None in
+  if live then unindex_port t s;
+  s.lport <- port;
+  if live then index_port t s
+
+(* A SYN_RECV child stops counting against its listener's backlog when it
+   leaves that state or the stack. *)
+let settle_embryo s =
+  if s.embryonic then begin
+    s.embryonic <- false;
+    match s.parent with Some l -> l.embryos <- l.embryos - 1 | None -> ()
+  end
+
+let detach t s =
+  (match s.live with
+  | Some n ->
+      Dlist.remove n;
+      s.live <- None;
+      unindex_port t s
+  | None -> ());
+  (match s.tw_node with
+  | Some n ->
+      Dlist.remove n;
+      s.tw_node <- None
+  | None -> ());
+  settle_embryo s;
+  sock_hash_remove t s
 
 (* Arm a per-flow timer on the flow's home CPU, so the fire (retransmit,
    probe, TIME_WAIT reclaim) charges that CPU's clock.  At ncpus=1 this is
@@ -441,8 +515,7 @@ let next_iss t =
   t.next_iss
 
 let alloc_port t =
-  let used p = List.exists (fun s -> s.lport = p) t.socks in
-  let rec pick p = if used p then pick (p + 1) else p in
+  let rec pick p = if port_in_use t p then pick (p + 1) else p in
   let p = pick t.next_port in
   t.next_port <- p + 1;
   p
@@ -452,6 +525,10 @@ let inflight s = seq_diff s.snd_nxt s.snd_una
 let rcv_window s = max 0 (s.rcv_buf_max - s.rcv_q_bytes)
 
 let rexmt_max_shift = 6
+
+let free_rexmt_q s =
+  Queue.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
+  Queue.clear s.rexmt_q
 
 (* The retransmission-queue bound: 64 whole frames, as 2.0 shipped — but a
    window-scaled connection needs the queue to cover the window or the
@@ -490,7 +567,7 @@ let sock_readiness s =
   let wr =
     match s.state with
     | Established | Close_wait ->
-        inflight s < min s.cwnd s.snd_wnd && s.rexmt_q_len <= rexmt_q_limit s
+        inflight s < min s.cwnd s.snd_wnd && Queue.length s.rexmt_q <= rexmt_q_limit s
     | Closed -> true
     | _ -> false
   in
@@ -563,45 +640,39 @@ let lx_close_tw t s =
   if s.state = Time_wait then begin
     s.state <- Closed;
     t.time_wait_reclaimed <- t.time_wait_reclaimed + 1;
-    t.socks <- List.filter (fun x -> x != s) t.socks;
-    sock_hash_remove t s;
+    detach t s;
     wake s
   end
 
 let lx_enter_time_wait t s =
   s.state <- Time_wait;
-  t.tw_list <- t.tw_list @ [ s ]; (* oldest first *)
-  if Cost.config.tw_max > 0 then begin
-    t.tw_list <- List.filter (fun x -> x.state = Time_wait) t.tw_list;
-    let excess = List.length t.tw_list - Cost.config.tw_max in
-    if excess > 0 then begin
-      List.iteri (fun i x -> if i < excess then lx_close_tw t x) t.tw_list;
-      t.tw_list <- List.filter (fun x -> x.state = Time_wait) t.tw_list
-    end
-  end;
+  s.tw_node <- Some (Dlist.push_back t.tw_list s);
+  let excess = Dlist.length t.tw_list - Cost.config.tw_max in
+  if Cost.config.tw_max > 0 && excess > 0 then
+    List.iter (lx_close_tw t) (Dlist.prefix t.tw_list excess);
   ignore
     (after_home t s time_wait_ns (fun () ->
          if s.state = Time_wait then begin
            s.state <- Closed;
-           t.socks <- List.filter (fun x -> x != s) t.socks;
-           sock_hash_remove t s;
-           t.tw_list <- List.filter (fun x -> x != s) t.tw_list
+           detach t s
          end))
 
 (* Memory pressure: shed the coldest protocol state — every TIME_WAIT
    sock and every cached half-open handshake (cookies still complete
    those statelessly). *)
 let lx_reclaim t =
-  let tw = t.tw_list in
-  t.tw_list <- [];
-  List.iter (fun s -> lx_close_tw t s) tw;
-  List.iter
-    (fun s ->
-      if s.syn_cache <> [] then begin
-        t.syncache_evicted <- t.syncache_evicted + List.length s.syn_cache;
-        s.syn_cache <- []
-      end)
-    t.socks
+  List.iter (lx_close_tw t) (Dlist.drain t.tw_list);
+  (* Only listeners hold syncache entries. *)
+  Hashtbl.iter
+    (fun _ ls ->
+      List.iter
+        (fun s ->
+          if s.syn_cache <> [] then begin
+            t.syncache_evicted <- t.syncache_evicted + List.length s.syn_cache;
+            s.syn_cache <- []
+          end)
+        ls)
+    t.listen_socks
 
 (* Token bucket on generated error responses (the RST answering a segment
    no sock claims): rate and depth are Cost.config.icmp_ratelimit per
@@ -696,9 +767,8 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
   in
   let queued = queue && seg_bytes > 0 in
   if queued then begin
-    if s.rexmt_q = [] then s.rexmt_stamp <- Machine.now t.machine;
-    s.rexmt_q <- s.rexmt_q @ [ { rx_seq = seq; rx_end = m32 (seq + seg_bytes); rx_frame = skb } ];
-    s.rexmt_q_len <- s.rexmt_q_len + 1;
+    if Queue.is_empty s.rexmt_q then s.rexmt_stamp <- Machine.now t.machine;
+    Queue.add { rx_seq = seq; rx_end = m32 (seq + seg_bytes); rx_frame = skb } s.rexmt_q;
     (* Start an RTT sample on fresh data when none is in flight.  Only
        tcp_xmit sends first transmissions — every retransmit path resends
        the queued frame directly and discards the pending sample, so a
@@ -719,14 +789,14 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
    fires, gives the connection up — the backstop that stops a dead peer or
    an unresolvable ARP entry from retransmitting forever. *)
 and arm_rexmt t s =
-  if (not s.rexmt_armed) && s.rexmt_q <> [] then begin
+  if (not s.rexmt_armed) && not (Queue.is_empty s.rexmt_q) then begin
     s.rexmt_armed <- true;
     let rec schedule delay =
       ignore
         (after_home t s delay (fun () ->
-             match s.rexmt_q with
-             | [] -> s.rexmt_armed <- false
-             | entry :: _ ->
+             match Queue.peek_opt s.rexmt_q with
+             | None -> s.rexmt_armed <- false
+             | Some entry ->
                  let full = s.rto_ns * (1 lsl min s.rexmt_shift rexmt_max_shift) in
                  let age = Machine.now t.machine - s.rexmt_stamp in
                  if age < full then
@@ -738,13 +808,10 @@ and arm_rexmt t s =
                    (* Give up: error the socket and free every queued frame. *)
                    s.rexmt_armed <- false;
                    t.rexmt_give_ups <- t.rexmt_give_ups + 1;
-                   List.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
-                   s.rexmt_q <- [];
-                   s.rexmt_q_len <- 0;
+                   free_rexmt_q s;
                    s.err <- Some Error.Timedout;
                    s.state <- Closed;
-                   t.socks <- List.filter (fun x -> x != s) t.socks;
-                   sock_hash_remove t s;
+                   detach t s;
                    wake s
                  end
                  else begin
@@ -783,7 +850,7 @@ and arm_persist t s =
            s.persist_armed <- false;
            let blocked =
              (match s.state with Established | Close_wait -> true | _ -> false)
-             && s.rexmt_q_len = 0
+             && Queue.is_empty s.rexmt_q
              && min s.cwnd s.snd_wnd <= inflight s
            in
            if blocked then begin
@@ -811,7 +878,7 @@ let send_rst_for t ~src ~sport ~dport ~ack =
       smss = Cost.config.tcp_mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
       dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
       rtt_seq = 0; rtt_ts = 0;
-      fin_queued = false; rexmt_q = []; rexmt_q_len = 0; persist_armed = true;
+      fin_queued = false; rexmt_q = Queue.create (); persist_armed = true;
       persist_shift = 0; rcv_nxt = 0; rcv_q = Queue.create ();
       rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
       rcv_buf_max = default_window; adv_wnd = 0;
@@ -819,7 +886,8 @@ let send_rst_for t ~src ~sport ~dport ~ack =
       head_consumed = 0; peer_fin = false; backlog_q = Queue.create ();
       backlog = 0; parent = None; syn_cache = []; err = None;
       sleep = Sleep_record.create ();
-      rexmt_armed = true; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1 }
+      rexmt_armed = true; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1;
+      sid = -1; live = None; tw_node = None; embryos = 0; embryonic = false }
   in
   ignore (tcp_xmit t fake ~seq:ack ~flags:th_rst ~payload:None ~queue:false)
 
@@ -831,7 +899,7 @@ let new_sock t =
       smss = Cost.config.tcp_mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
       dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
       rtt_seq = 0; rtt_ts = 0;
-      fin_queued = false; rexmt_q = []; rexmt_q_len = 0; persist_armed = false;
+      fin_queued = false; rexmt_q = Queue.create (); persist_armed = false;
       persist_shift = 0; rcv_nxt = 0; rcv_q = Queue.create ();
       rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
       rcv_buf_max = default_window; adv_wnd = default_window;
@@ -839,14 +907,13 @@ let new_sock t =
       head_consumed = 0; peer_fin = false; backlog_q = Queue.create ();
       backlog = 0; parent = None; syn_cache = []; err = None;
       sleep = Sleep_record.create ~name:"lx_sock" ();
-      rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1 }
+      rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1;
+      sid = t.next_sid; live = None; tw_node = None; embryos = 0; embryonic = false }
   in
-  t.socks <- s :: t.socks;
+  t.next_sid <- t.next_sid + 1;
+  s.live <- Some (Dlist.push_front t.socks s);
+  index_port t s;
   s
-
-let detach t s =
-  t.socks <- List.filter (fun x -> x != s) t.socks;
-  sock_hash_remove t s
 
 let find_sock t ~src ~sport ~dport =
   let connected =
@@ -866,14 +933,14 @@ let find_sock t ~src ~sport ~dport =
           | _ -> None)
     end
     else
-      List.find_opt
+      Dlist.find_opt
         (fun s ->
           s.lport = dport && s.rport = sport && Int32.equal s.raddr src && s.state <> Listen)
         t.socks
   in
   match connected with
   | Some _ as r -> r
-  | None -> List.find_opt (fun s -> s.lport = dport && s.state = Listen) t.socks
+  | None -> List.find_opt (fun s -> s.state = Listen) (listeners_on t dport)
 
 (* A SYN-ACK with no sock behind it (Cost.config.syn_defense): seq/ack and
    MSS come from the syncache entry or the cookie.  Never queued — losing
@@ -886,7 +953,7 @@ let lx_send_synack t ~raddr ~rport ~lport ~iss ~irs ~mss =
       smss = mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
       dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
       rtt_seq = 0; rtt_ts = 0;
-      fin_queued = false; rexmt_q = []; rexmt_q_len = 0; persist_armed = true;
+      fin_queued = false; rexmt_q = Queue.create (); persist_armed = true;
       persist_shift = 0; rcv_nxt = m32 (irs + 1); rcv_q = Queue.create ();
       rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
       rcv_buf_max = default_window; adv_wnd = 0;
@@ -894,7 +961,8 @@ let lx_send_synack t ~raddr ~rport ~lport ~iss ~irs ~mss =
       head_consumed = 0; peer_fin = false; backlog_q = Queue.create ();
       backlog = 0; parent = None; syn_cache = []; err = None;
       sleep = Sleep_record.create ();
-      rexmt_armed = true; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1 }
+      rexmt_armed = true; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1;
+      sid = -1; live = None; tw_node = None; embryos = 0; embryonic = false }
   in
   ignore (tcp_xmit t fake ~seq:iss ~flags:(th_syn lor th_ack) ~payload:None ~queue:false)
 
@@ -963,7 +1031,7 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
       else begin
         let c = new_sock t in
         c.state <- Established;
-        c.lport <- s.lport;
+        set_lport t c s.lport;
         c.rport <- sport;
         c.raddr <- src;
         sock_hash_add t c;
@@ -980,20 +1048,22 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
         wake c
       end
 
-(* Retire every queued frame the ACK covers. *)
-let drop_acked s ack =
-  let acked, live = List.partition (fun e -> not (seq_gt e.rx_end ack)) s.rexmt_q in
-  List.iter (fun e -> Skbuff.skb_free e.rx_frame) acked;
-  s.rexmt_q <- live;
-  s.rexmt_q_len <- s.rexmt_q_len - List.length acked
+(* Retire every queued frame the ACK covers.  Frames are queued at
+   snd_nxt, which only grows, so the covered ones are a prefix. *)
+let rec drop_acked s ack =
+  match Queue.peek_opt s.rexmt_q with
+  | Some e when not (seq_gt e.rx_end ack) ->
+      Skbuff.skb_free (Queue.take s.rexmt_q).rx_frame;
+      drop_acked s ack
+  | _ -> ()
 
 (* Resend the oldest unacked frame as-is — same mechanics as the RTO path.
    Karn: whatever RTT sample was pending is now ambiguous. *)
 let retransmit_head t s =
   s.rtt_ts <- 0;
-  match s.rexmt_q with
-  | [] -> ()
-  | e :: _ ->
+  match Queue.peek_opt s.rexmt_q with
+  | None -> ()
+  | Some e ->
       t.rexmits <- t.rexmits + 1; (shard t).sh_rexmits <- (shard t).sh_rexmits + 1;
       s.rexmt_stamp <- Machine.now t.machine;
       if e.rx_frame.Skbuff.link_ready then
@@ -1059,7 +1129,7 @@ let tcp_ack_in t s ~ack ~win ~dlen =
   let old_wnd = s.snd_wnd in
   s.snd_wnd <- win;
   if seq_gt ack s.snd_una then tcp_ack t s ack
-  else if dlen = 0 && win = old_wnd && ack = s.snd_una && s.rexmt_q_len > 0 then begin
+  else if dlen = 0 && win = old_wnd && ack = s.snd_una && not (Queue.is_empty s.rexmt_q) then begin
     s.dupacks <- s.dupacks + 1;
     if s.dupacks = 3 then begin
       s.ssthresh <- max (2 * s.smss) (min s.cwnd s.snd_wnd / 2);
@@ -1283,25 +1353,19 @@ let tcp_rcv t skb ~src =
                 else if flags land th_syn <> 0 then begin
                   (* Embryonic children count against the backlog alongside
                      the established-but-unaccepted ones. *)
-                  let embryonic =
-                    List.length
-                      (List.filter
-                         (fun c ->
-                           c.state = Syn_recv
-                           && match c.parent with Some p -> p == s | None -> false)
-                         t.socks)
-                  in
-                  if Queue.length s.backlog_q + embryonic >= max 1 s.backlog then
+                  if Queue.length s.backlog_q + s.embryos >= max 1 s.backlog then
                     (* Drop the SYN on the floor (the peer retransmits). *)
                     t.listen_overflow <- t.listen_overflow + 1
                   else begin
                   let c = new_sock t in
                   c.state <- Syn_recv;
-                  c.lport <- s.lport;
+                  set_lport t c s.lport;
                   c.rport <- sport;
                   c.raddr <- src;
                   sock_hash_add t c;
                   c.parent <- Some s;
+                  c.embryonic <- true;
+                  s.embryos <- s.embryos + 1;
                   c.rcv_nxt <- m32 (seq + 1);
                   c.iss <- next_iss t;
                   c.snd_una <- c.iss;
@@ -1355,15 +1419,14 @@ let tcp_rcv t skb ~src =
                   | Some p when p.state <> Listen ->
                       (* The listener closed while our handshake completed:
                          nobody will ever accept us — reset, don't leak. *)
-                      List.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
-                      s.rexmt_q <- [];
-                      s.rexmt_q_len <- 0;
+                      free_rexmt_q s;
                       s.state <- Closed;
                       detach t s;
                       ignore
                         (tcp_xmit t s ~seq:s.snd_nxt ~flags:th_rst ~payload:None
                            ~queue:false)
                   | parent_opt ->
+                      settle_embryo s;
                       s.state <- Established;
                       s.cwnd <- 2 * s.smss;
                       s.snd_wnd <- win;
@@ -1380,7 +1443,7 @@ let tcp_rcv t skb ~src =
                 if flags land th_ack <> 0 then begin
                   tcp_ack_in t s ~ack ~win ~dlen;
                   (* Our FIN acked? *)
-                  if s.fin_queued && s.rexmt_q = [] && ack = s.snd_nxt then
+                  if s.fin_queued && Queue.is_empty s.rexmt_q && ack = s.snd_nxt then
                     match s.state with
                     | Fin_wait1 ->
                         s.state <- Fin_wait2;
@@ -1482,12 +1545,12 @@ let attach_dev t osenv dev =
 (* ---- blocking socket calls ---- *)
 
 let socket t = new_sock t
-let bind _t s ~port = s.lport <- port
+let bind t s ~port = set_lport t s port
 
 let listen t s ~backlog =
-  if s.lport = 0 then s.lport <- alloc_port t;
   s.backlog <- backlog;
-  s.state <- Listen
+  s.state <- Listen;
+  set_lport t s (if s.lport = 0 then alloc_port t else s.lport)
 
 let accept _t s =
   let t = s.stack in
@@ -1505,7 +1568,7 @@ let accept _t s =
   wait ()
 
 let connect t s ~dst ~dport =
-  if s.lport = 0 then s.lport <- alloc_port t;
+  if s.lport = 0 then set_lport t s (alloc_port t);
   s.raddr <- dst;
   s.rport <- dport;
   sock_hash_add t s;
@@ -1538,7 +1601,7 @@ let send t s ~buf ~pos ~len =
       match s.state with
       | Established | Close_wait ->
           let window = min s.cwnd s.snd_wnd in
-          if inflight s >= window || s.rexmt_q_len > rexmt_q_limit s then begin
+          if inflight s >= window || Queue.length s.rexmt_q > rexmt_q_limit s then begin
             if s.nb then if sent > 0 then Ok sent else Result.Error Error.Wouldblock
             else begin
               arm_persist t s;
@@ -1630,9 +1693,7 @@ let recv t s ~buf ~pos ~len =
    retransmission frames, RST the peer, drop the sock. *)
 let abort_orphan t c =
   if c.state <> Closed then begin
-    List.iter (fun e -> Skbuff.skb_free e.rx_frame) c.rexmt_q;
-    c.rexmt_q <- [];
-    c.rexmt_q_len <- 0;
+    free_rexmt_q c;
     c.err <- Some Error.Connreset;
     c.state <- Closed;
     detach t c;
@@ -1647,6 +1708,7 @@ let rec close t s =
   let send_fin next_state =
     if tcp_xmit t s ~seq:s.snd_nxt ~flags:(th_fin lor th_ack) ~payload:None ~queue:true
     then begin
+      settle_embryo s;
       s.state <- next_state;
       s.fin_queued <- true;
       s.snd_nxt <- m32 (s.snd_nxt + 1)
@@ -1676,7 +1738,7 @@ let rec close t s =
             c.state = Syn_recv
             && match c.parent with Some p -> p == s | None -> false
           then abort_orphan t c)
-        t.socks;
+        (Dlist.to_list t.socks);
       detach t s;
       wake s
   | Syn_sent ->

@@ -38,12 +38,17 @@
 # copied and zero fallbacks on warm-cache sendfile hits, every body
 # byte-exact in both serving shapes, and the Linux rows carrying the
 # counted copy fallback — that stack exports no sendv face).
-# Finally, Table 1/2 and the rtt percentiles are regenerated (with
-# --json, so the files are actually rewritten — without it the diff
-# check was vacuous) with every long-fat, overload, smp, and event-core
-# knob at its default — ncpus=1, kq and timer_wheel off — and must be
-# bit-identical to the committed baselines: the SMP layer and the event
-# core must cost nothing when off.
+# Finally, all nine committed BENCH_*.json files are regenerated and
+# must be bit-identical to the committed baselines.  Table 1/2 and the
+# rtt percentiles need --json to be rewritten at all (without it the diff
+# check was vacuous) and run with every long-fat, overload, smp, and
+# event-core knob at its default — ncpus=1, kq and timer_wheel off — so
+# the SMP layer and the event core must cost nothing when off; the http,
+# smp, longfat, overload, event and file sections rewrite their files on
+# every run.  Every number in them is virtual time, so a change that only
+# makes the simulator cheaper on the host must leave all nine untouched.
+# bench/main.exe exits non-zero on an unknown section or flag, so a
+# misspelled name above fails this script instead of testing nothing.
 set -eux
 
 dune build
@@ -61,4 +66,7 @@ OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- filesmoke
 dune exec bench/main.exe -- table1 --sg --json
 dune exec bench/main.exe -- table2 --json
 dune exec bench/main.exe -- rtt --json
-git diff --exit-code BENCH_table1.json BENCH_table2.json BENCH_rtt.json
+dune exec bench/main.exe -- http smp longfat overload event file
+git diff --exit-code BENCH_table1.json BENCH_table2.json BENCH_rtt.json \
+  BENCH_http.json BENCH_smp.json BENCH_longfat.json BENCH_overload.json \
+  BENCH_event.json BENCH_file.json

@@ -28,4 +28,5 @@ let () =
       "overload", Test_overload.suite;
       "smp", Test_smp.suite;
       "event", Test_event.suite;
-      "http11", Test_http11.suite ]
+      "http11", Test_http11.suite;
+      "simcost", Test_simcost.suite ]

@@ -250,7 +250,7 @@ let test_linux_time_wait_expiry_purges () =
   Alcotest.(check bool) "expiry purged the last-sock cache" true
     (sa.Linux_inet.last_sock = None);
   Alcotest.(check bool) "expiry removed it from the socket list" true
-    (not (List.memq s sa.Linux_inet.socks))
+    (not (List.memq s (Dlist.to_list sa.Linux_inet.socks)))
 
 (* ------------------------------------------------------------------ *)
 (* Byte-exactness across the RTT x loss grid with scaled windows +
@@ -405,7 +405,7 @@ let test_autotune_off_buffers_fixed () =
     (fun s ->
       Alcotest.(check int) "linux rcv_buf_max untouched" Linux_inet.default_window
         s.Linux_inet.rcv_buf_max)
-    sb.Linux_inet.socks
+    (Dlist.to_list sb.Linux_inet.socks)
 
 let suite =
   [ Alcotest.test_case "zero window: persist probe recovers the transfer" `Quick

@@ -431,7 +431,7 @@ let tw_cap ~linux () =
                 Kclock.sleep_ns 2_000_000;
                 incr served
               done);
-          ( (fun () -> List.length sa.Linux_inet.tw_list),
+          ( (fun () -> Dlist.length sa.Linux_inet.tw_list),
             fun () -> sa.Linux_inet.time_wait_reclaimed )
         end
         else begin
@@ -461,7 +461,7 @@ let tw_cap ~linux () =
                 Kclock.sleep_ns 2_000_000;
                 incr served
               done);
-          ( (fun () -> List.length sa.Bsd_socket.tcp.Tcp.tw_list),
+          ( (fun () -> Dlist.length sa.Bsd_socket.tcp.Tcp.tw_list),
             fun () -> sa.Bsd_socket.tcp.Tcp.stats.Tcp.time_wait_reclaimed )
         end
       in
