@@ -60,9 +60,7 @@ type kq_row = {
 
 (* One engine, one idle population: returns (visits, dispatches, hits). *)
 let kq_run ~kq ~idle ~hot ~rounds =
-  let saved = Cost.config.Cost.kq in
-  Cost.config.Cost.kq <- kq;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.kq <- saved) @@ fun () ->
+  Cost.with_config (fun c -> c.Cost.kq <- kq) @@ fun () ->
   let r = Reactor.create () in
   for _ = 1 to idle do
     let s = synthetic () in

@@ -25,17 +25,6 @@
    counters; bodies are position-and-file-dependent bytes so every
    delivered response is provably byte-exact. *)
 
-type config = Freebsd_com | Linux_com | Oskit_com
-
-let config_name = function
-  | Freebsd_com -> "FreeBSD"
-  | Linux_com -> "Linux"
-  | Oskit_com -> "OSKit"
-
-type mode = Reactor | Threads
-
-let mode_name = function Reactor -> "reactor" | Threads -> "threads"
-
 type knobs = { k_keepalive : bool; k_sendfile : bool; k_sg : bool }
 
 let knobs_name k =
@@ -48,13 +37,7 @@ let http10 = { k_keepalive = false; k_sendfile = false; k_sg = false }
 let keepalive = { k_keepalive = true; k_sendfile = false; k_sg = false }
 let ka_sendfile = { k_keepalive = true; k_sendfile = true; k_sg = true }
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
 let backlog = 128
-
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("filebench: " ^ Error.to_string e)
 
 (* ---- the served working set: [files] files of [file_bytes], each with
    its own position-dependent pattern so responses cannot be confused ---- *)
@@ -63,31 +46,9 @@ let pattern ~file pos = ((pos * 131) + (file * 17)) land 0xff
 
 let file_name i = Printf.sprintf "f%d.bin" i
 
-let make_root ~files ~file_bytes () =
-  (* Big enough for the 128-file thrash working set: ninodes scales with
-     the device (nblocks/8), and 4 MB leaves only 125 usable inodes. *)
-  let dev = Mem_blkio.make ~bytes:(16 lsl 20) () in
-  let root = ok (Fs_glue.newfs dev) in
-  let bodies =
-    Array.init files (fun fi ->
-        let f = ok (root.Io_if.d_create (file_name fi)) in
-        let body = Bytes.init file_bytes (fun i -> Char.chr (pattern ~file:fi i)) in
-        let rec push off =
-          if off < file_bytes then
-            match
-              f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(file_bytes - off)
-            with
-            | Ok n -> push (off + n)
-            | Error e -> failwith ("filebench: write: " ^ Error.to_string e)
-        in
-        push 0;
-        Bytes.to_string body)
-  in
-  root, bodies
-
 type result = {
-  r_config : config;
-  r_mode : mode;
+  r_config : Rig.config;
+  r_mode : Rig.mode;
   r_knobs : knobs;
   r_clients : int;
   r_pipeline : int; (* client pipelining depth (1 = serial request/response) *)
@@ -112,14 +73,9 @@ type result = {
   r_accepted : int;
 }
 
-let index_of s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go 0
-
 (* Parse "Content-Length: N" out of a response header block. *)
 let content_length hdr =
-  match index_of (String.lowercase_ascii hdr) "content-length:" with
+  match Rig.index_of (String.lowercase_ascii hdr) "content-length:" with
   | None -> None
   | Some i -> (
       let rest = String.sub hdr (i + 15) (String.length hdr - i - 15) in
@@ -141,96 +97,45 @@ let content_length hdr =
    server's parse-ahead bound never throttles the reader. *)
 let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
     ~file_bytes () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let saved_ka = Cost.config.Cost.http_keepalive in
-  let saved_sf = Cost.config.Cost.sendfile in
-  let saved_sg = Cost.config.Cost.sg_tx in
-  Cost.config.Cost.http_keepalive <- knobs.k_keepalive;
-  Cost.config.Cost.sendfile <- knobs.k_sendfile;
-  Cost.config.Cost.sg_tx <- knobs.k_sg;
-  Fun.protect
-    ~finally:(fun () ->
-      Cost.config.Cost.http_keepalive <- saved_ka;
-      Cost.config.Cost.sendfile <- saved_sf;
-      Cost.config.Cost.sg_tx <- saved_sg)
+  Cost.with_config (fun c ->
+      c.Cost.http_keepalive <- knobs.k_keepalive;
+      c.Cost.sendfile <- knobs.k_sendfile;
+      c.Cost.sg_tx <- knobs.k_sg)
   @@ fun () ->
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+  let tb = Rig.testbed () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root, bodies = make_root ~files ~file_bytes () in
-  let sock =
-    match config with
-    | Freebsd_com ->
-        let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-        Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack)
-    | Linux_com ->
-        let stack = Clientos.linux_host server ~ip:(ip "10.0.0.2") ~mask in
-        Linux_sock_com.socket_com stack (Linux_inet.socket stack)
-    | Oskit_com ->
-        let _env, stack = Clientos.oskit_host server ~ip:(ip "10.0.0.2") ~mask in
-        Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack)
+  let bodies =
+    Array.init files (fun fi -> String.init file_bytes (fun i -> Char.chr (pattern ~file:fi i)))
   in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
+  (* 16 MB: big enough for the 128-file thrash working set (ninodes scales
+     with the device, nblocks/8, and 4 MB leaves only 125 usable inodes). *)
+  let root =
+    Rig.make_root ~dev_bytes:(16 lsl 20)
+      (List.init files (fun fi -> file_name fi, bodies.(fi)))
+  in
+  let sock, _ = Rig.server_sock config server in
+  let cstack = Clientos.freebsd_host chost ~ip:Rig.client_ip ~mask:Rig.mask in
   let done_clients = ref 0 in
   let all_done () = !done_clients >= clients in
-  let server_stats = ref None in
   let reactor = Reactor.create () in
-  Clientos.spawn server ~name:"httpd" (fun () ->
-      ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
-      ok (sock.Io_if.so_listen ~backlog);
-      match mode with
-      | Reactor ->
-          server_stats := Some (Httpd.serve_reactor ~reactor ~root ~sock ());
-          Reactor.run reactor ~until:all_done
-      | Threads ->
-          server_stats :=
-            Some
-              (Httpd.serve_threaded
-                 ~spawn:(fun f -> Clientos.spawn server f)
-                 ~root ~sock ()));
+  let server_stats =
+    Rig.serve_httpd ~mode ~backlog ~reactor ~until:all_done server sock root
+  in
   let mismatches = ref 0 in
   let t_start = ref max_int and t_end = ref 0 in
   let request fi v11 =
     if v11 then Printf.sprintf "GET /%s HTTP/1.1\r\nHost: b\r\n\r\n" (file_name fi)
     else Printf.sprintf "GET /%s HTTP/1.0\r\n\r\n" (file_name fi)
   in
-  let push s frag =
-    let b = Bytes.of_string frag in
-    let rec go off =
-      if off < Bytes.length b then
-        match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-        | Ok n -> go (off + n)
-        | Error _ -> ()
-    in
-    go 0
-  in
   (* Close-per-request client: connect, send, drain to EOF, check. *)
   let do_request_10 ~record fi =
     let t0 = Machine.now chost.Clientos.machine in
     let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80 with
+    (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:80 with
     | Error _ -> incr mismatches
     | Ok () ->
-        push s (request fi false);
-        let buf = Bytes.create 4096 in
-        let acc = Buffer.create (file_bytes + 256) in
-        let rec drain () =
-          match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-          | Ok 0 | Error _ -> ()
-          | Ok n ->
-              Buffer.add_subbytes acc buf 0 n;
-              drain ()
-        in
-        drain ();
-        let resp = Buffer.contents acc in
-        let exact =
-          String.length resp > 12
-          && String.sub resp 9 3 = "200"
-          && match index_of resp "\r\n\r\n" with
-             | Some i -> String.sub resp (i + 4) (String.length resp - i - 4) = bodies.(fi)
-             | None -> false
-        in
-        if not exact then incr mismatches);
+        Rig.send_string s (request fi false);
+        if not (Rig.read_200 s ~expect:bodies.(fi)) then incr mismatches);
     ignore (Bsd_socket.so_close s);
     let t1 = Machine.now chost.Clientos.machine in
     if record then begin
@@ -243,7 +148,7 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
   let do_requests_11 ~record ~first_file n =
     let t0 = Machine.now chost.Clientos.machine in
     let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80 with
+    (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:80 with
     | Error _ -> mismatches := !mismatches + n
     | Ok () ->
         let buf = Bytes.create 4096 in
@@ -262,7 +167,7 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
           String.sub (Buffer.contents acc) !consumed (Buffer.length acc - !consumed)
         in
         let rec hdr_end () =
-          match index_of (avail ()) "\r\n\r\n" with
+          match Rig.index_of (avail ()) "\r\n\r\n" with
           | Some i -> Some i
           | None ->
               if fill (Buffer.length acc - !consumed + 1) then hdr_end () else None
@@ -298,7 +203,7 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
           for k = 0 to burst - 1 do
             Buffer.add_string b (request ((first_file + !sent + k) mod files) true)
           done;
-          push s (Buffer.contents b);
+          Rig.send_string s (Buffer.contents b);
           for k = 0 to burst - 1 do
             read_resp ((first_file + !sent + k) mod files)
           done;
@@ -344,7 +249,7 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
         incr done_clients)
   done;
   Clientos.run tb ~until:all_done;
-  let st = Option.get !server_stats in
+  let st = server_stats () in
   let duration = max 1 (!t_end - !t_start) in
   let total = clients * reqs_per_client in
   { r_config = config;

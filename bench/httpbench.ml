@@ -17,45 +17,11 @@
    [listen_overflow] counter and in the clients' p99 (a dropped SYN costs
    a retransmit timeout). *)
 
-type config = Freebsd_com | Linux_com | Oskit_com
-
-let config_name = function
-  | Freebsd_com -> "FreeBSD"
-  | Linux_com -> "Linux"
-  | Oskit_com -> "OSKit"
-
-type mode = Reactor | Threads
-
-let mode_name = function Reactor -> "reactor" | Threads -> "threads"
-
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("httpbench: " ^ Error.to_string e)
-
 (* ---- the served file: position-dependent bytes so delivery is provably
    byte-exact end to end (same discipline as the chaos bench) ---- *)
 
 let file_bytes = 1024
-let pattern pos = (pos * 131) land 0xff
-
-(* A freshly formatted memfs with one file — the FFS/blkio path the server
-   reads through on every request. *)
-let make_root () =
-  let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
-  let root = ok (Fs_glue.newfs dev) in
-  let f = ok (root.Io_if.d_create "index.html") in
-  let body = Bytes.init file_bytes (fun i -> Char.chr (pattern i)) in
-  let rec push off =
-    if off < file_bytes then
-      match f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(file_bytes - off) with
-      | Ok n -> push (off + n)
-      | Error e -> failwith ("httpbench: write: " ^ Error.to_string e)
-  in
-  push 0;
-  root, Bytes.to_string body
+let body = String.init file_bytes (fun i -> Char.chr ((i * 131) land 0xff))
 
 (* ---- the equal-memory budget ---- *)
 
@@ -71,8 +37,8 @@ let backlog = 128
 let spawn_cycles = 20_000
 
 type result = {
-  r_config : config;
-  r_mode : mode;
+  r_config : Rig.config;
+  r_mode : Rig.mode;
   r_clients : int;
   r_requests : int;
   r_duration_ms : float;
@@ -90,11 +56,6 @@ type result = {
   r_reactor_spurious : int;
 }
 
-let index_of s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go 0
-
 (* Clients are deliberately slow: the request goes out in two pieces with
    [think_ns] between them, the way a WAN client's request straggles in
    over a long RTT.  Every connection is therefore open for at least
@@ -108,97 +69,33 @@ let think_ns = 5_000_000
    clients start inside a ~200ns-per-client window, so the connect burst
    is near-simultaneous — the regime the reactor exists for. *)
 let run ?(reqs_per_client = 2) ~config ~mode ~clients () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let saved_spawn = Cost.config.Cost.thread_spawn_cycles in
-  Cost.config.Cost.thread_spawn_cycles <- spawn_cycles;
-  Fun.protect
-    ~finally:(fun () -> Cost.config.Cost.thread_spawn_cycles <- saved_spawn)
-  @@ fun () ->
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+  Cost.with_config (fun c -> c.Cost.thread_spawn_cycles <- spawn_cycles) @@ fun () ->
+  let tb = Rig.testbed () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root, expect = make_root () in
-  let sock, listen_overflow =
-    match config with
-    | Freebsd_com ->
-        let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-        ( Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack),
-          fun () -> stack.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow )
-    | Linux_com ->
-        let stack = Clientos.linux_host server ~ip:(ip "10.0.0.2") ~mask in
-        ( Linux_sock_com.socket_com stack (Linux_inet.socket stack),
-          fun () -> stack.Linux_inet.listen_overflow )
-    | Oskit_com ->
-        (* The paper's netcomputer shape: the BSD stack over the Linux
-           driver through fdev/COM — the only configuration whose receive
-           frames cross the glue, so the only one the batched-RX counters
-           (Cost.rx_polls) can observe. *)
-        let _env, stack = Clientos.oskit_host server ~ip:(ip "10.0.0.2") ~mask in
-        ( Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack),
-          fun () -> stack.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow )
-  in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
+  let root = Rig.make_root [ "index.html", body ] in
+  let sock, listen_overflow = Rig.server_sock config server in
+  let cstack = Clientos.freebsd_host chost ~ip:Rig.client_ip ~mask:Rig.mask in
   let done_clients = ref 0 in
   let all_done () = !done_clients >= clients in
-  let server_stats = ref None in
   let reactor = Reactor.create () in
-  Clientos.spawn server ~name:"httpd" (fun () ->
-      ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
-      ok (sock.Io_if.so_listen ~backlog);
-      match mode with
-      | Reactor ->
-          server_stats := Some (Httpd.serve_reactor ~reactor ~root ~sock ~max_conns ());
-          Reactor.run reactor ~until:all_done
-      | Threads ->
-          server_stats :=
-            Some
-              (Httpd.serve_threaded
-                 ~spawn:(fun f -> Clientos.spawn server f)
-                 ~root ~sock ~max_threads ()));
+  let server_stats =
+    Rig.serve_httpd ~max_conns ~max_threads ~mode ~backlog ~reactor ~until:all_done server
+      sock root
+  in
   let samples = ref [] in
   let mismatches = ref 0 in
   let t_start = ref max_int and t_end = ref 0 in
-  let request_head = "GET /index.html HTTP/1.0\r\n" in
-  let request_tail = "\r\n" in
   let do_request ~record () =
     let t0 = Machine.now chost.Clientos.machine in
     let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80 with
+    (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:80 with
     | Error _ -> incr mismatches
     | Ok () ->
-        let push frag =
-          let b = Bytes.of_string frag in
-          let rec go off =
-            if off < Bytes.length b then
-              match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-              | Ok n -> go (off + n)
-              | Error _ -> ()
-          in
-          go 0
-        in
         (* The slow-client dribble: request line now, terminator later. *)
-        push request_head;
+        Rig.send_string s "GET /index.html HTTP/1.0\r\n";
         Kclock.sleep_ns think_ns;
-        push request_tail;
-        let buf = Bytes.create 4096 in
-        let acc = Buffer.create (file_bytes + 256) in
-        let rec drain () =
-          match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-          | Ok 0 | Error _ -> ()
-          | Ok n ->
-              Buffer.add_subbytes acc buf 0 n;
-              drain ()
-        in
-        drain ();
-        let resp = Buffer.contents acc in
-        let exact =
-          String.length resp > 12
-          && String.sub resp 0 12 = "HTTP/1.0 200"
-          && match index_of resp "\r\n\r\n" with
-             | Some i -> String.sub resp (i + 4) (String.length resp - i - 4) = expect
-             | None -> false
-        in
-        if not exact then incr mismatches);
+        Rig.send_string s "\r\n";
+        if not (Rig.read_200 s ~expect:body) then incr mismatches);
     ignore (Bsd_socket.so_close s);
     let t1 = Machine.now chost.Clientos.machine in
     if record then begin
@@ -227,10 +124,8 @@ let run ?(reqs_per_client = 2) ~config ~mode ~clients () =
         incr done_clients)
   done;
   Clientos.run tb ~until:all_done;
-  let st = Option.get !server_stats in
-  let sorted = Array.of_list (List.sort compare !samples) in
-  let n = Array.length sorted in
-  let pct p = if n = 0 then 0.0 else float_of_int sorted.((n - 1) * p / 100) /. 1e3 in
+  let st = server_stats () in
+  let pct = Rig.percentile !samples in
   let duration = max 1 (!t_end - !t_start) in
   let total = clients * reqs_per_client in
   let rstats = Reactor.stats reactor in

@@ -3,7 +3,7 @@
    DESIGN.md calls out.
 
    Sections (run all, or name them on the command line):
-     table1     TCP bandwidth matrix (ttcp)               — paper Table 1
+     table1     TCP bandwidth matrix (ttcp), plus the sg send column — paper Table 1
      table2     TCP 1-byte round-trip latency (rtcp)      — paper Table 2
      table3     component source-size inventory           — paper Table 3
      footprint  static size of the netcomputer config     — paper §6.2.5
@@ -13,20 +13,21 @@
      copies     per-packet copy accounting                — DESIGN.md B
      chaos      ttcp goodput under injected faults        — netem
      sgsmoke    scatter-gather send-path CI gate
-     http       event-driven vs threaded HTTP serving     — oskit_asyncio
-     httpsmoke  64-client asyncio CI gate
      rtt        rtcp latency percentiles, receive fast path on/off
+     http       event-driven vs threaded HTTP serving     — oskit_asyncio
      rttsmoke   receive fast-path CI gate (equivalence + strict RTT win)
      longfat    ttcp over RTT x loss grid, wscale/NewReno/autotune — long fat pipes
-     longfatsmoke  long-fat-pipe CI gate (byte-exact, 5x, autotune, persist)
+     longfatsmoke  long-fat-pipe CI gate (5x, autotune at 8 MB, persist)
      overload   SYN flood x alloc failure x Slowloris, legit-client goodput
-     overloadsmoke  overload-survival CI gate (goodput ratio, byte-exact soak)
      smp        multi-CPU scale-out: netisr-sharded reactor httpd, RSS steering
-     smpsmoke   SMP CI gate (byte-exact, 4-CPU win, lock-free hot path)
      event      kqueue O(ready) dispatch + timing-wheel O(due) curves
-     eventsmoke event-core CI gate (flat dispatch, timing contract, byte-exact)
+     eventsmoke event-core CI gate (kq+wheel httpd byte-exact)
      file       HTTP/1.1 keep-alive + sendfile content path: req/s and copies/req
      filesmoke  content-path CI gate (keep-alive win, zero warm copies, byte-exact)
+
+   table1, table2, rtt, http, smp, longfat, overload, event and file each
+   write their rows to BENCH_<section>.json and assert their gates on
+   those same rows (Row declares each section's rows once).
 
    Network numbers come from the deterministic virtual-time simulation
    (they are not wall-clock); the allocator section uses Bechamel
@@ -36,150 +37,118 @@ let section_header title = Printf.printf "\n=== %s ===\n%!" title
 
 (* Scale knob: OSKIT_BENCH_BLOCKS overrides the per-run block count (the
    paper used 131072 blocks of 4096; the default here keeps a full matrix
-   run to a couple of minutes of wall clock with identical shapes). *)
+   run to a couple of minutes of wall clock with identical shapes).
+   Anything but a positive integer exits 2 before a section runs. *)
 let blocks =
   match Sys.getenv_opt "OSKIT_BENCH_BLOCKS" with
-  | Some v -> int_of_string v
   | None -> 2048
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n > 0 -> n
+      | _ ->
+          Printf.eprintf "OSKIT_BENCH_BLOCKS must be a positive integer, not %S\n" v;
+          exit 2)
 
 let blocksize = 4096
 
-(* Flags that modify sections (set by the driver below):
-     --sg    add a scatter-gather send column / counter audit to table1
-     --json  also write each table as BENCH_<section>.json *)
-let want_sg = ref false
-let want_json = ref false
-
-(* Minimal JSON emission: the repository carries no JSON library, and
-   these records are flat. *)
-let json_obj fields = "{" ^ String.concat ", " fields ^ "}"
-let json_str k v = Printf.sprintf "%S: %S" k v
-let json_int k v = Printf.sprintf "%S: %d" k v
-let json_float k v = Printf.sprintf "%S: %.4f" k v
-
-let write_json file rows_name header rows =
-  let oc = open_out file in
-  output_string oc "{\n";
-  List.iter (fun line -> output_string oc ("  " ^ line ^ ",\n")) header;
-  output_string oc (Printf.sprintf "  %S: [\n" rows_name);
-  let n = List.length rows in
-  List.iteri
-    (fun i row ->
-      output_string oc ("    " ^ row ^ (if i = n - 1 then "\n" else ",\n")))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "(wrote %s)\n%!" file
+let exact ok = if ok then "yes" else "NO"
 
 (* ---------------- Table 1 ---------------- *)
+
+(* Send: [config] transmits to a native FreeBSD sink; receive: a native
+   FreeBSD source transmits to [config].  The scatter-gather send is
+   measured in a second pass, once the paper's table has printed. *)
+type t1_row = {
+  config : Netbench.config;
+  send : Netbench.transfer_result;
+  recv : Netbench.transfer_result;
+  sg : Netbench.transfer_result Lazy.t;
+}
 
 let table1 () =
   section_header "Table 1: TCP bandwidth, ttcp (Mbit/s)";
   Printf.printf "workload: %d blocks x %d bytes = %.1f MB per run, 100 Mbps Ethernet\n\n"
     blocks blocksize
     (float_of_int (blocks * blocksize) /. 1048576.0);
-  Printf.printf "%-22s %14s %14s\n" "system" "send (Mbit/s)" "recv (Mbit/s)";
-  let fixed = Netbench.Freebsd in
+  let transfer ?sg sender receiver =
+    Netbench.transfer ?sg ~sender ~receiver ~blocks ~blocksize ()
+  in
+  let sg f r = f (Lazy.force r.sg) in
+  let system = Row.str "system" ~t:("%-22s", "system") (fun r -> Netbench.config_name r.config)
+  and send_mbit =
+    Row.float "send_mbit" ~t:("%14.2f", "send (Mbit/s)") (fun r -> r.send.Netbench.mbit_sender)
+  and recv_mbit =
+    Row.float "recv_mbit" ~t:("%14.2f", "recv (Mbit/s)") (fun r -> r.recv.Netbench.mbit_e2e)
+  and send_sg_mbit =
+    Row.float "send_sg_mbit" ~t:("%14.2f", "send sg on") (sg (fun t -> t.Netbench.mbit_sender))
+  and sg_sg_xmits =
+    Row.int "sg_sg_xmits" ~t:("%10d", "sg xmits") (sg (fun t -> t.Netbench.sg_xmits))
+  and sg_linearized_xmits =
+    Row.int "sg_linearized_xmits" ~t:("%10d", "flattened")
+      (sg (fun t -> t.Netbench.linearized_xmits))
+  in
+  let paper = [ system; send_mbit; recv_mbit ] in
   let rows =
-    List.map
+    Row.table paper
       (fun config ->
-        (* Send row: [config] transmits to a native FreeBSD sink; receive
-           row: a native FreeBSD source transmits to [config]. *)
-        let send = Netbench.transfer ~sender:config ~receiver:fixed ~blocks ~blocksize () in
-        let recv = Netbench.transfer ~sender:fixed ~receiver:config ~blocks ~blocksize () in
-        Printf.printf "%-22s %14.2f %14.2f\n%!" (Netbench.config_name config)
-          send.Netbench.mbit_sender recv.Netbench.mbit_e2e;
-        config, send, recv)
+        let send = transfer config Netbench.Freebsd in
+        let recv = transfer Netbench.Freebsd config in
+        { config; send; recv; sg = lazy (transfer ~sg:true config Netbench.Freebsd) })
       [ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ]
   in
   print_newline ();
   print_endline "paper's qualitative claims (Section 5):";
   print_endline "  - OSKit receives about as fast as FreeBSD (zero-copy skbuff->mbuf map)";
   print_endline "  - OSKit send is lower: mbuf chains are flattened into skbuffs (extra copy)";
-  let sg_rows =
-    if not !want_sg then []
-    else begin
-      Printf.printf "\nwith --sg (scatter-gather transmit at the glue, Cost.sg_tx):\n";
-      Printf.printf "%-22s %14s %14s %10s %10s %12s\n" "system" "send (Mbit/s)"
-        "send sg on" "sg xmits" "flattened" "copies/kpkt";
-      List.map
-        (fun (config, send, _) ->
-          let sg =
-            Netbench.transfer ~sg:true ~sender:config ~receiver:fixed ~blocks ~blocksize ()
-          in
-          Printf.printf "%-22s %14.2f %14.2f %10d %10d %12d\n%!"
-            (Netbench.config_name config) send.Netbench.mbit_sender
-            sg.Netbench.mbit_sender sg.Netbench.sg_xmits sg.Netbench.linearized_xmits
-            sg.Netbench.copies_per_kpkt;
-          config, sg)
-        rows
-    end
+  Printf.printf "\nwith --sg (scatter-gather transmit at the glue, Cost.sg_tx):\n";
+  let sg_table =
+    [ system; send_mbit; send_sg_mbit; sg_sg_xmits; sg_linearized_xmits;
+      Row.show "%12d" "copies/kpkt" (sg (fun t -> t.Netbench.copies_per_kpkt)) ]
   in
-  (match List.assoc_opt Netbench.Oskit (List.map (fun (c, s) -> c, s) sg_rows) with
-  | Some sg ->
-      let fbsd_send =
-        List.find_map
-          (fun (c, s, _) -> if c = Netbench.Freebsd then Some s.Netbench.mbit_sender else None)
-          rows
-        |> Option.get
-      in
-      Printf.printf
-        "\nOSKit --sg send is %.1f%% of native FreeBSD send (flatten copy eliminated:\n\
-         %d sg xmits, %d linearized)\n"
-        (100.0 *. sg.Netbench.mbit_sender /. fbsd_send)
-        sg.Netbench.sg_xmits sg.Netbench.linearized_xmits
-  | None -> ());
-  if !want_json then
-    write_json "BENCH_table1.json" "rows"
-      [ json_str "bench" "table1"; json_int "blocks" blocks;
-        json_int "blocksize" blocksize; json_str "unit" "Mbit/s" ]
-      (List.map
-         (fun (config, send, recv) ->
-           let base =
-             [ json_str "system" (Netbench.config_name config);
-               json_float "send_mbit" send.Netbench.mbit_sender;
-               json_float "recv_mbit" recv.Netbench.mbit_e2e;
-               json_int "send_copies_per_kpkt" send.Netbench.copies_per_kpkt;
-               json_int "send_crossings_per_kpkt" send.Netbench.crossings_per_kpkt;
-               json_int "send_sg_xmits" send.Netbench.sg_xmits;
-               json_int "send_linearized_xmits" send.Netbench.linearized_xmits;
-               json_int "send_checksummed_bytes" send.Netbench.checksummed_bytes ]
-           in
-           let sg_fields =
-             match List.assoc_opt config (List.map (fun (c, s) -> c, s) sg_rows) with
-             | Some sg ->
-                 [ json_float "send_sg_mbit" sg.Netbench.mbit_sender;
-                   json_int "sg_sg_xmits" sg.Netbench.sg_xmits;
-                   json_int "sg_linearized_xmits" sg.Netbench.linearized_xmits ]
-             | None -> []
-           in
-           json_obj (base @ sg_fields))
-         rows)
+  Row.header sg_table;
+  List.iter (Row.print sg_table) rows;
+  let at c = List.find (fun r -> r.config = c) rows in
+  let oskit = Lazy.force (at Netbench.Oskit).sg in
+  Printf.printf
+    "\nOSKit --sg send is %.1f%% of native FreeBSD send (flatten copy eliminated:\n\
+     %d sg xmits, %d linearized)\n"
+    (100.0 *. oskit.Netbench.mbit_sender /. (at Netbench.Freebsd).send.Netbench.mbit_sender)
+    oskit.Netbench.sg_xmits oskit.Netbench.linearized_xmits;
+  let send f r = f r.send in
+  Row.write_json "BENCH_table1.json"
+    Row.[ jstr "bench" "table1"; jint "blocks" blocks; jint "blocksize" blocksize;
+          jstr "unit" "Mbit/s" ]
+    (Row.objs
+       Row.
+         [ system; send_mbit; recv_mbit;
+           int "send_copies_per_kpkt" (send (fun t -> t.Netbench.copies_per_kpkt));
+           int "send_crossings_per_kpkt" (send (fun t -> t.Netbench.crossings_per_kpkt));
+           int "send_sg_xmits" (send (fun t -> t.Netbench.sg_xmits));
+           int "send_linearized_xmits" (send (fun t -> t.Netbench.linearized_xmits));
+           int "send_checksummed_bytes" (send (fun t -> t.Netbench.checksummed_bytes));
+           send_sg_mbit; sg_sg_xmits; sg_linearized_xmits ]
+       rows)
 
 (* ---------------- Table 2 ---------------- *)
 
 let table2 () =
   section_header "Table 2: TCP 1-byte round-trip time, rtcp (usec)";
-  Printf.printf "%-22s %12s\n" "system" "RTT (usec)";
+  let fields =
+    Row.
+      [ str "system" ~t:("%-22s", "system") (fun (c, _) -> Netbench.config_name c);
+        float "rtt_us" ~t:("%12.1f", "RTT (usec)") snd ]
+  in
   let rows =
-    List.map
-      (fun config ->
-        let rtt = Netbench.rtt_us config ~trips:200 in
-        Printf.printf "%-22s %12.1f\n%!" (Netbench.config_name config) rtt;
-        config, rtt)
+    Row.table fields
+      (fun config -> config, (Netbench.dist config ~trips:200).Netbench.rtt_mean_us)
       [ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ]
   in
   print_newline ();
   print_endline "paper's qualitative claim: the OSKit imposes significant latency";
   print_endline "overhead vs FreeBSD — glue-code crossings, not data copies (1-byte)";
-  if !want_json then
-    write_json "BENCH_table2.json" "rows"
-      [ json_str "bench" "table2"; json_int "trips" 200; json_str "unit" "usec" ]
-      (List.map
-         (fun (config, rtt) ->
-           json_obj
-             [ json_str "system" (Netbench.config_name config); json_float "rtt_us" rtt ])
-         rows)
+  Row.write_json "BENCH_table2.json"
+    Row.[ jstr "bench" "table2"; jint "trips" 200; jstr "unit" "usec" ]
+    (Row.objs fields rows)
 
 (* ---------------- Table 3 ---------------- *)
 
@@ -262,13 +231,18 @@ let vmnet () =
 let alloc () =
   section_header "Section 6.2.10: allocator micro-benchmarks (wall clock, Bechamel)";
   let open Bechamel in
+  (* A 4 MB LMM, one free region. *)
+  let fresh_lmm () =
+    let lmm = Lmm.create () in
+    Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
+    Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
+    lmm
+  in
   (* The deficiency the paper reports: the LMM is built for flexibility,
      not common-case speed; a conventional high-level allocator (the BSD
      bucket allocator here) is much faster for small hot-path blocks. *)
   let lmm_test =
-    let lmm = Lmm.create () in
-    Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
-    Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
+    let lmm = fresh_lmm () in
     Test.make ~name:"lmm alloc+free 128B"
       (Staged.stage (fun () ->
            match Lmm.alloc lmm ~size:128 ~flags:0 with
@@ -276,9 +250,7 @@ let alloc () =
            | None -> assert false))
   in
   let pool_test =
-    let lmm = Lmm.create () in
-    Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
-    Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
+    let lmm = fresh_lmm () in
     let pool =
       Bsd_malloc.create ~client_alloc:(fun size ->
           Lmm.alloc_aligned lmm ~size ~flags:0 ~align_bits:12 ~align_ofs:0)
@@ -302,10 +274,7 @@ let alloc () =
            | None -> assert false))
   in
   let kalloc_test =
-    let lmm = Lmm.create () in
-    Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
-    Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
-    let k = Kalloc.create lmm in
+    let k = Kalloc.create (fresh_lmm ()) in
     Test.make ~name:"kalloc alloc+free 128B"
       (Staged.stage (fun () ->
            match Kalloc.alloc k ~size:128 with
@@ -347,9 +316,7 @@ let alloc () =
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
   in
   let fragmented_lmm () =
-    let lmm = Lmm.create () in
-    Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
-    Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
+    let lmm = fresh_lmm () in
     let addrs =
       Array.init (2 * holes) (fun _ ->
           match Lmm.alloc lmm ~size:16 ~flags:0 with Some a -> a | None -> assert false)
@@ -382,10 +349,7 @@ let alloc () =
     [ 32; 64; 128; 256 ];
   (* One allocator's class stats after mixed-size churn: a kmem-cache
      report. *)
-  let lmm = Lmm.create () in
-  Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
-  Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
-  let k = Kalloc.create lmm in
+  let k = Kalloc.create (fresh_lmm ()) in
   let ws = Array.init holes (fun i ->
       match Kalloc.alloc k ~size:(16 lsl (i land 3)) with
       | Some a -> a
@@ -403,34 +367,43 @@ let alloc () =
 
 let glue () =
   section_header "Ablation A: glue-crossing cost vs OSKit throughput and latency";
-  Printf.printf "%-28s %14s %12s\n" "glue_crossing_cycles" "send (Mbit/s)" "RTT (usec)";
-  List.iter
-    (fun cycles ->
-      Cost.reset_config ();
-      Cost.config.Cost.glue_crossing_cycles <- cycles;
-      let t =
-        Netbench.transfer ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd
-          ~blocks:(blocks / 2) ~blocksize ()
-      in
-      let rtt = Netbench.rtt_us Netbench.Oskit ~trips:100 in
-      Printf.printf "%-28d %14.2f %12.1f\n%!" cycles t.Netbench.mbit_sender rtt)
-    [ 0; 500; 1500; 3000; 6000 ];
+  let fields =
+    Row.
+      [ show "%-28d" "glue_crossing_cycles" (fun (cycles, _, _) -> cycles);
+        show "%14.2f" "send (Mbit/s)" (fun (_, t, _) -> t.Netbench.mbit_sender);
+        show "%12.1f" "RTT (usec)" (fun (_, _, rtt) -> rtt) ]
+  in
+  ignore
+    (Row.table fields
+       (fun cycles ->
+         Cost.reset_config ();
+         Cost.config.Cost.glue_crossing_cycles <- cycles;
+         let t =
+           Netbench.transfer ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd
+             ~blocks:(blocks / 2) ~blocksize ()
+         in
+         cycles, t, (Netbench.dist Netbench.Oskit ~trips:100).Netbench.rtt_mean_us)
+       [ 0; 500; 1500; 3000; 6000 ]);
   Cost.reset_config ();
   print_endline "\n(cycles=0 isolates the copy cost; the remainder is \"the price we pay";
   print_endline " for modularity and separability\", Section 5)"
 
 let copies () =
   section_header "Ablation B: per-packet copy and crossing accounting";
-  Printf.printf "%-28s %18s %18s\n" "configuration" "copies/1000 pkts" "crossings/1000 pkts";
-  List.iter
-    (fun (label, sender, receiver) ->
-      let t = Netbench.transfer ~sender ~receiver ~blocks:(blocks / 2) ~blocksize () in
-      Printf.printf "%-28s %18d %18d\n%!" label t.Netbench.copies_per_kpkt
-        t.Netbench.crossings_per_kpkt)
-    [ "FreeBSD -> FreeBSD", Netbench.Freebsd, Netbench.Freebsd;
-      "OSKit -> FreeBSD (send path)", Netbench.Oskit, Netbench.Freebsd;
-      "FreeBSD -> OSKit (recv path)", Netbench.Freebsd, Netbench.Oskit;
-      "Linux -> Linux", Netbench.Linux, Netbench.Linux ];
+  let fields =
+    Row.
+      [ show "%-28s" "configuration" fst;
+        show "%18d" "copies/1000 pkts" (fun (_, t) -> t.Netbench.copies_per_kpkt);
+        show "%18d" "crossings/1000 pkts" (fun (_, t) -> t.Netbench.crossings_per_kpkt) ]
+  in
+  ignore
+    (Row.table fields
+       (fun (label, sender, receiver) ->
+         label, Netbench.transfer ~sender ~receiver ~blocks:(blocks / 2) ~blocksize ())
+       [ "FreeBSD -> FreeBSD", Netbench.Freebsd, Netbench.Freebsd;
+         "OSKit -> FreeBSD (send path)", Netbench.Oskit, Netbench.Freebsd;
+         "FreeBSD -> OSKit (recv path)", Netbench.Freebsd, Netbench.Oskit;
+         "Linux -> Linux", Netbench.Linux, Netbench.Linux ]);
   print_endline "\nthe send path shows the extra flattening copy; the receive path does not"
 
 (* ---------------- chaos: goodput under injected loss ---------------- *)
@@ -441,29 +414,29 @@ let chaos () =
     "each run: %d blocks x %d bytes to a native FreeBSD sink; byte-exact\n\
      means every payload byte arrived once, in order, with the right value\n\n"
     blocks blocksize;
-  Printf.printf "%-10s %7s %14s %9s %9s %11s\n" "sender" "loss" "goodput (Mbit/s)"
-    "rexmits" "drops" "byte-exact";
-  List.iter
-    (fun sender ->
-      List.iter
-        (fun loss ->
-          let r =
-            Netbench.chaos_transfer ~seed:42 ~loss ~sender
-              ~receiver:Netbench.Freebsd ~blocks ~blocksize ()
-          in
-          Printf.printf "%-10s %6.1f%% %14.2f %9d %9d %11s\n%!"
-            (Netbench.config_name sender) (loss *. 100.0)
-            r.Netbench.goodput_mbit r.Netbench.chaos_rexmits
-            r.Netbench.wire_dropped
-            (if r.Netbench.byte_exact then "yes" else "NO");
-          if not r.Netbench.byte_exact then
-            failwith "chaos: transfer was not byte-exact")
-        [ 0.0; 0.005; 0.01; 0.02; 0.05 ])
-    [ Netbench.Freebsd; Netbench.Oskit; Netbench.Linux ];
+  let fields =
+    Row.
+      [ show "%-10s" "sender" (fun ((sender, _), _) -> Netbench.config_name sender);
+        show "%6.1f%%" "loss" (fun ((_, loss), _) -> loss *. 100.0);
+        show "%14.2f" "goodput (Mbit/s)" (fun (_, r) -> r.Netbench.goodput_mbit);
+        show "%9d" "rexmits" (fun (_, r) -> r.Netbench.chaos_rexmits);
+        show "%9d" "drops" (fun (_, r) -> r.Netbench.wire_dropped);
+        show "%11s" "byte-exact" (fun (_, r) -> exact r.Netbench.byte_exact) ]
+  in
+  ignore
+    (Row.table fields
+       ~checks:
+         [ Row.each "chaos: transfer was not byte-exact" (fun (_, r) -> r.Netbench.byte_exact) ]
+       (fun (sender, loss) ->
+         ( (sender, loss),
+           Netbench.chaos_transfer ~seed:42 ~loss ~sender ~receiver:Netbench.Freebsd ~blocks
+             ~blocksize () ))
+       Row.([ Netbench.Freebsd; Netbench.Oskit; Netbench.Linux ]
+            *** [ 0.0; 0.005; 0.01; 0.02; 0.05 ]));
   print_newline ();
   print_endline "retransmissions recover every loss: goodput degrades, correctness doesn't"
 
-(* ---------------- sgsmoke: CI gate for the --sg path ---------------- *)
+(* ---------------- sgsmoke: CI gate for the scatter-gather send path ---------------- *)
 
 let sgsmoke () =
   section_header "SG smoke: scatter-gather send path sanity (fails loudly on regression)";
@@ -494,25 +467,115 @@ let sgsmoke () =
       in
       Printf.printf "%6.1f%% %16.2f %9d %11s\n%!" (loss *. 100.0) r.Netbench.goodput_mbit
         r.Netbench.chaos_rexmits
-        (if r.Netbench.byte_exact then "yes" else "NO");
+        (exact r.Netbench.byte_exact);
       if not r.Netbench.byte_exact then
         failwith "sgsmoke: sg transfer under loss was not byte-exact")
     [ 0.0; 0.01; 0.05 ];
   print_endline "\nsg send >= default send; zero flatten copies; byte-exact under loss"
+
+(* ---------------- http: asyncio concurrency experiment ---------------- *)
+
+let http_json, http_table =
+  let open Httpbench in
+  let stack = Row.str "stack" ~t:("%-9s", "stack") (fun r -> Rig.config_name r.r_config)
+  and mode = Row.str "mode" ~t:("%-8s", "mode") (fun r -> Rig.mode_name r.r_mode)
+  and clients = Row.int "clients" ~t:("%8d", "clients") (fun r -> r.r_clients)
+  and rps = Row.float "rps" ~t:("%10.0f", "req/s") (fun r -> r.r_rps)
+  and p50 = Row.float "p50_us" ~t:("%10.1f", "p50 (us)") (fun r -> r.r_p50_us)
+  and p99 = Row.float "p99_us" ~t:("%10.1f", "p99 (us)") (fun r -> r.r_p99_us)
+  and peak = Row.int "peak_active" ~t:("%6d", "peak") (fun r -> r.r_peak_active)
+  and shed = Row.int "shed" ~t:("%6d", "shed") (fun r -> r.r_shed)
+  and overflow =
+    Row.int "listen_overflow" ~t:("%9d", "overflow") (fun r -> r.r_listen_overflow)
+  in
+  ( Row.
+      [ stack; mode; clients;
+        int "requests" (fun r -> r.r_requests);
+        float "duration_ms" (fun r -> r.r_duration_ms);
+        rps; p50; p99; peak;
+        int "accepted" (fun r -> r.r_accepted);
+        int "responses" (fun r -> r.r_responses);
+        shed; overflow;
+        int "protocol_errors" (fun r -> r.r_protocol_errors);
+        int "mismatches" (fun r -> r.r_mismatches);
+        int "reactor_sleeps" (fun r -> r.r_reactor_sleeps);
+        int "reactor_spurious" (fun r -> r.r_reactor_spurious) ],
+    [ stack; mode; clients; rps; p50; p99; peak; overflow; shed ] )
+
+let http_checks =
+  Httpbench.
+    [ Row.each "http: response was not byte-exact" (fun r -> r.r_mismatches = 0);
+      Row.each "http: server saw protocol errors" (fun r -> r.r_protocol_errors = 0);
+      Row.each "http: not every request got a 200" (fun r -> r.r_responses = r.r_requests) ]
+
+let http_configs = [ Rig.Freebsd_com; Rig.Linux_com ]
+
+let http_at rows config clients mode =
+  List.find
+    (fun r ->
+      r.Httpbench.r_config = config && r.Httpbench.r_clients = clients
+      && r.Httpbench.r_mode = mode)
+    rows
+
+(* At 256 clients the reactor holds >= 4x the threaded concurrency; the
+   64-client pair is the former httpsmoke run. *)
+let http_gates =
+  List.concat_map
+    (fun config ->
+      Httpbench.
+        [ Row.check "http: reactor sustained < 4x the threaded concurrency" (fun rows ->
+              (http_at rows config 256 Rig.Reactor).r_peak_active
+              >= 4 * (http_at rows config 256 Rig.Threads).r_peak_active);
+          Row.check "httpsmoke: reactor slower than thread-per-connection" (fun rows ->
+              (http_at rows config 64 Rig.Reactor).r_rps
+              >= (http_at rows config 64 Rig.Threads).r_rps) ])
+    http_configs
+
+let http () =
+  section_header "HTTP: event-driven vs thread-per-connection at equal memory (oskit_asyncio)";
+  Printf.printf
+    "file: %d B from memfs; RAM budget %d KB -> %d handler threads (32KB stack)\n\
+     vs %d reactor connections (2KB state); listen backlog %d; %d reqs/client\n\n"
+    Httpbench.file_bytes (Httpbench.ram_budget / 1024) Httpbench.max_threads
+    Httpbench.max_conns Httpbench.backlog 2;
+  let rows =
+    Row.table ~checks:http_checks http_table
+      (fun (config, (clients, mode)) -> Httpbench.run ~config ~mode ~clients ())
+      Row.(http_configs *** [ 1; 4; 16; 64; 256 ] *** [ Rig.Threads; Rig.Reactor ])
+  in
+  print_newline ();
+  List.iter
+    (fun config ->
+      let re = http_at rows config 256 Rig.Reactor
+      and th = http_at rows config 256 Rig.Threads in
+      Printf.printf
+        "%s @256 clients: reactor held %d concurrent connections vs %d threaded\n\
+        \  (%.1fx at the same %dKB budget); reactor %.0f req/s vs threaded %.0f\n"
+        (Rig.config_name config) re.Httpbench.r_peak_active th.Httpbench.r_peak_active
+        (float_of_int re.Httpbench.r_peak_active
+        /. float_of_int (max 1 th.Httpbench.r_peak_active))
+        (Httpbench.ram_budget / 1024) re.Httpbench.r_rps th.Httpbench.r_rps)
+    http_configs;
+  List.iter (fun gate -> gate rows) http_gates;
+  print_endline "\nsame server component, same COM interfaces, both stacks; the threaded";
+  print_endline "shape hits its memory cap and the listen backlog does the dropping";
+  Row.write_json "BENCH_http.json"
+    Row.[ jstr "bench" "http"; jint "file_bytes" Httpbench.file_bytes;
+          jint "ram_budget" Httpbench.ram_budget; jint "max_threads" Httpbench.max_threads;
+          jint "max_conns" Httpbench.max_conns; jint "backlog" Httpbench.backlog;
+          jstr "unit" "req/s" ]
+    (Row.objs http_json rows)
 
 (* ---------------- rtt: the Table 2 gap, attacked ---------------- *)
 
 (* All three receive-side fast-path layers at once; default off everywhere
    else, so only these two sections ever see them. *)
 let fast_flags on f =
-  Cost.config.Cost.tcp_fastpath <- on;
-  Cost.config.Cost.pcb_hash <- on;
-  Cost.config.Cost.rx_batch <- (if on then 8 else 1);
-  Fun.protect
-    ~finally:(fun () ->
-      Cost.config.Cost.tcp_fastpath <- false;
-      Cost.config.Cost.pcb_hash <- false;
-      Cost.config.Cost.rx_batch <- 1)
+  Cost.with_config
+    (fun c ->
+      c.Cost.tcp_fastpath <- on;
+      c.Cost.pcb_hash <- on;
+      c.Cost.rx_batch <- (if on then 8 else 1))
     f
 
 let rtt () =
@@ -520,30 +583,31 @@ let rtt () =
   print_endline
     "fast path = header prediction + hashed PCB demux + batched RX; flags off\n\
      reproduces Table 2 exactly, flags on closes the gap toward FreeBSD\n";
-  Printf.printf "%-10s %-9s %10s %9s %9s %9s %8s %9s %8s %9s\n" "system" "fastpath"
-    "mean (us)" "p50" "p95" "p99" "fp hits" "fallback" "pcb hit" "pcb miss";
   let trips = 200 in
+  let fields =
+    Row.
+      [ str "system" ~t:("%-10s", "system") (fun ((c, _), _) -> Netbench.config_name c);
+        str "fastpath" ~t:("%-9s", "fastpath") (fun ((_, on), _) -> on_off on);
+        float "mean_us" ~t:("%10.1f", "mean (us)") (fun (_, r) -> r.Netbench.rtt_mean_us);
+        float "p50_us" ~t:("%9.1f", "p50") (fun (_, r) -> r.Netbench.rtt_p50_us);
+        float "p95_us" ~t:("%9.1f", "p95") (fun (_, r) -> r.Netbench.rtt_p95_us);
+        float "p99_us" ~t:("%9.1f", "p99") (fun (_, r) -> r.Netbench.rtt_p99_us);
+        int "fastpath_hits" ~t:("%8d", "fp hits") (fun (_, r) -> r.Netbench.rtt_fastpath_hits);
+        int "fastpath_fallbacks" ~t:("%9d", "fallback")
+          (fun (_, r) -> r.Netbench.rtt_fastpath_fallbacks);
+        int "pcb_cache_hits" ~t:("%8d", "pcb hit")
+          (fun (_, r) -> r.Netbench.rtt_pcb_cache_hits);
+        int "pcb_cache_misses" ~t:("%9d", "pcb miss")
+          (fun (_, r) -> r.Netbench.rtt_pcb_cache_misses);
+        int "rx_polls" (fun (_, r) -> r.Netbench.rtt_rx_polls);
+        int "rx_frames" (fun (_, r) -> r.Netbench.rtt_rx_frames) ]
+  in
   let rows =
-    List.concat_map
-      (fun config ->
-        List.map
-          (fun fastpath ->
-            let r = Netbench.dist ~fastpath config ~trips in
-            Printf.printf "%-10s %-9s %10.1f %9.1f %9.1f %9.1f %8d %9d %8d %9d\n%!"
-              (Netbench.config_name config)
-              (if fastpath then "on" else "off")
-              r.Netbench.rtt_mean_us r.Netbench.rtt_p50_us r.Netbench.rtt_p95_us
-              r.Netbench.rtt_p99_us r.Netbench.rtt_fastpath_hits
-              r.Netbench.rtt_fastpath_fallbacks r.Netbench.rtt_pcb_cache_hits
-              r.Netbench.rtt_pcb_cache_misses;
-            config, fastpath, r)
-          [ false; true ])
-      [ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ]
+    Row.table fields
+      (fun (config, fastpath) -> (config, fastpath), Netbench.dist ~fastpath config ~trips)
+      Row.([ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ] *** [ false; true ])
   in
-  let mean config fastpath =
-    let _, _, r = List.find (fun (c, f, _) -> c = config && f = fastpath) rows in
-    r.Netbench.rtt_mean_us
-  in
+  let mean config fastpath = (List.assoc (config, fastpath) rows).Netbench.rtt_mean_us in
   let gap_off = mean Netbench.Oskit false -. mean Netbench.Freebsd false in
   let gap_on = mean Netbench.Oskit true -. mean Netbench.Freebsd false in
   Printf.printf
@@ -555,7 +619,7 @@ let rtt () =
      OSKit configuration, where receive frames actually cross the glue. *)
   let http_run on =
     fast_flags on (fun () ->
-        Httpbench.run ~config:Httpbench.Oskit_com ~mode:Httpbench.Reactor ~clients:128 ())
+        Httpbench.run ~config:Rig.Oskit_com ~mode:Rig.Reactor ~clients:128 ())
   in
   let hoff = http_run false in
   let hon = http_run true in
@@ -568,252 +632,19 @@ let rtt () =
     hoff.Httpbench.r_p50_us hon.Httpbench.r_p50_us hoff.Httpbench.r_p99_us
     hon.Httpbench.r_p99_us frames polls
     (float_of_int frames /. float_of_int (max 1 polls));
-  if !want_json then
-    write_json "BENCH_rtt.json" "rows"
-      [ json_str "bench" "rtt"; json_int "trips" trips; json_str "unit" "usec";
-        json_float "http128_p50_us_default" hoff.Httpbench.r_p50_us;
-        json_float "http128_p50_us_fastpath" hon.Httpbench.r_p50_us;
-        json_float "http128_p99_us_default" hoff.Httpbench.r_p99_us;
-        json_float "http128_p99_us_fastpath" hon.Httpbench.r_p99_us;
-        json_int "http128_rx_polls" polls;
-        json_int "http128_rx_frames" frames ]
-      (List.map
-         (fun (config, fastpath, r) ->
-           json_obj
-             [ json_str "system" (Netbench.config_name config);
-               json_str "fastpath" (if fastpath then "on" else "off");
-               json_float "mean_us" r.Netbench.rtt_mean_us;
-               json_float "p50_us" r.Netbench.rtt_p50_us;
-               json_float "p95_us" r.Netbench.rtt_p95_us;
-               json_float "p99_us" r.Netbench.rtt_p99_us;
-               json_int "fastpath_hits" r.Netbench.rtt_fastpath_hits;
-               json_int "fastpath_fallbacks" r.Netbench.rtt_fastpath_fallbacks;
-               json_int "pcb_cache_hits" r.Netbench.rtt_pcb_cache_hits;
-               json_int "pcb_cache_misses" r.Netbench.rtt_pcb_cache_misses;
-               json_int "rx_polls" r.Netbench.rtt_rx_polls;
-               json_int "rx_frames" r.Netbench.rtt_rx_frames ])
-         rows)
-
-(* ---------------- http: asyncio concurrency experiment ---------------- *)
-
-let http_header () =
-  Printf.printf
-    "file: %d B from memfs; RAM budget %d KB -> %d handler threads (32KB stack)\n\
-     vs %d reactor connections (2KB state); listen backlog %d; %d reqs/client\n\n"
-    Httpbench.file_bytes (Httpbench.ram_budget / 1024) Httpbench.max_threads
-    Httpbench.max_conns Httpbench.backlog 2;
-  Printf.printf "%-9s %-8s %8s %10s %10s %10s %6s %9s %6s\n" "stack" "mode"
-    "clients" "req/s" "p50 (us)" "p99 (us)" "peak" "overflow" "shed"
-
-let http_row r =
-  Printf.printf "%-9s %-8s %8d %10.0f %10.1f %10.1f %6d %9d %6d\n%!"
-    (Httpbench.config_name r.Httpbench.r_config)
-    (Httpbench.mode_name r.Httpbench.r_mode)
-    r.Httpbench.r_clients r.Httpbench.r_rps r.Httpbench.r_p50_us r.Httpbench.r_p99_us
-    r.Httpbench.r_peak_active r.Httpbench.r_listen_overflow r.Httpbench.r_shed
-
-let http_check r =
-  if r.Httpbench.r_mismatches > 0 then failwith "http: response was not byte-exact";
-  if r.Httpbench.r_protocol_errors > 0 then failwith "http: server saw protocol errors";
-  if r.Httpbench.r_responses <> r.Httpbench.r_requests then
-    failwith "http: not every request got a 200"
-
-let http () =
-  section_header "HTTP: event-driven vs thread-per-connection at equal memory (oskit_asyncio)";
-  http_header ();
-  let rows =
-    List.concat_map
-      (fun config ->
-        List.concat_map
-          (fun clients ->
-            List.map
-              (fun mode ->
-                let r = Httpbench.run ~config ~mode ~clients () in
-                http_row r;
-                http_check r;
-                r)
-              [ Httpbench.Threads; Httpbench.Reactor ])
-          [ 1; 4; 16; 64; 256 ])
-      [ Httpbench.Freebsd_com; Httpbench.Linux_com ]
-  in
-  print_newline ();
-  List.iter
-    (fun config ->
-      let at mode =
-        List.find
-          (fun r ->
-            r.Httpbench.r_config = config && r.Httpbench.r_mode = mode
-            && r.Httpbench.r_clients = 256)
-          rows
-      in
-      let re = at Httpbench.Reactor and th = at Httpbench.Threads in
-      Printf.printf
-        "%s @256 clients: reactor held %d concurrent connections vs %d threaded\n\
-        \  (%.1fx at the same %dKB budget); reactor %.0f req/s vs threaded %.0f\n"
-        (Httpbench.config_name config) re.Httpbench.r_peak_active
-        th.Httpbench.r_peak_active
-        (float_of_int re.Httpbench.r_peak_active
-        /. float_of_int (max 1 th.Httpbench.r_peak_active))
-        (Httpbench.ram_budget / 1024) re.Httpbench.r_rps th.Httpbench.r_rps;
-      if re.Httpbench.r_peak_active < 4 * th.Httpbench.r_peak_active then
-        failwith "http: reactor sustained < 4x the threaded concurrency")
-    [ Httpbench.Freebsd_com; Httpbench.Linux_com ];
-  print_endline "\nsame server component, same COM interfaces, both stacks; the threaded";
-  print_endline "shape hits its memory cap and the listen backlog does the dropping";
-  write_json "BENCH_http.json" "rows"
-    [ json_str "bench" "http"; json_int "file_bytes" Httpbench.file_bytes;
-      json_int "ram_budget" Httpbench.ram_budget;
-      json_int "max_threads" Httpbench.max_threads;
-      json_int "max_conns" Httpbench.max_conns;
-      json_int "backlog" Httpbench.backlog; json_str "unit" "req/s" ]
-    (List.map
-       (fun r ->
-         json_obj
-           [ json_str "stack" (Httpbench.config_name r.Httpbench.r_config);
-             json_str "mode" (Httpbench.mode_name r.Httpbench.r_mode);
-             json_int "clients" r.Httpbench.r_clients;
-             json_int "requests" r.Httpbench.r_requests;
-             json_float "duration_ms" r.Httpbench.r_duration_ms;
-             json_float "rps" r.Httpbench.r_rps;
-             json_float "p50_us" r.Httpbench.r_p50_us;
-             json_float "p99_us" r.Httpbench.r_p99_us;
-             json_int "peak_active" r.Httpbench.r_peak_active;
-             json_int "accepted" r.Httpbench.r_accepted;
-             json_int "responses" r.Httpbench.r_responses;
-             json_int "shed" r.Httpbench.r_shed;
-             json_int "listen_overflow" r.Httpbench.r_listen_overflow;
-             json_int "protocol_errors" r.Httpbench.r_protocol_errors;
-             json_int "mismatches" r.Httpbench.r_mismatches;
-             json_int "reactor_sleeps" r.Httpbench.r_reactor_sleeps;
-             json_int "reactor_spurious" r.Httpbench.r_reactor_spurious ])
-       rows)
-
-(* ---------------- smp: multi-CPU scale-out ---------------- *)
-
-let smp_header () =
-  Printf.printf "%-6s %8s %10s %10s %10s %8s %8s %8s %6s  %s\n%!" "ncpus"
-    "clients" "req/s" "p50 (us)" "p99 (us)" "hw-rss" "netisr" "drops" "spins"
-    "cpu share"
-
-let smp_row r =
-  Printf.printf "%-6d %8d %10.0f %10.1f %10.1f %8d %8d %8d %6d  [%s]\n%!"
-    r.Smpbench.r_ncpus r.Smpbench.r_clients r.Smpbench.r_rps r.Smpbench.r_p50_us
-    r.Smpbench.r_p99_us r.Smpbench.r_rss_steered r.Smpbench.r_netisr_queued
-    r.Smpbench.r_netisr_drops r.Smpbench.r_spin_contentions
-    (String.concat " "
-       (Array.to_list
-          (Array.map (fun f -> Printf.sprintf "%.2f" f) r.Smpbench.r_cpu_share)))
-
-let smp_check r =
-  if r.Smpbench.r_mismatches > 0 then
-    failwith "smp: response was not byte-exact";
-  if r.Smpbench.r_responses <> r.Smpbench.r_requests then
-    failwith "smp: not every request got a 200";
-  if r.Smpbench.r_spin_contentions > 0 then
-    failwith "smp: spinlock contention on the per-flow hot path";
-  if r.Smpbench.r_netisr_drops > 0 then failwith "smp: netisr queue overflowed"
-
-let smp_speedup rows ~clients ~ncpus =
-  let at n =
-    List.find
-      (fun r -> r.Smpbench.r_ncpus = n && r.Smpbench.r_clients = clients)
-      rows
-  in
-  (at ncpus).Smpbench.r_rps /. (at 1).Smpbench.r_rps
-
-let smp () =
-  section_header
-    "SMP: netisr-sharded reactor httpd, RSS flow steering (req/s vs CPUs)";
-  smp_header ();
-  let rows =
-    List.concat_map
-      (fun clients ->
-        List.map
-          (fun ncpus ->
-            let r = Smpbench.run ~ncpus ~clients () in
-            smp_row r;
-            smp_check r;
-            r)
-          [ 1; 2; 4; 8 ])
-      [ 256; 1024; 2048 ]
-  in
-  print_newline ();
-  List.iter
-    (fun clients ->
-      Printf.printf "@%d clients: 2 CPUs %.2fx, 4 CPUs %.2fx, 8 CPUs %.2fx\n"
-        clients
-        (smp_speedup rows ~clients ~ncpus:2)
-        (smp_speedup rows ~clients ~ncpus:4)
-        (smp_speedup rows ~clients ~ncpus:8))
-    [ 256; 1024; 2048 ];
-  List.iter
-    (fun clients ->
-      if smp_speedup rows ~clients ~ncpus:4 < 3.0 then
-        failwith
-          (Printf.sprintf "smp: 4-CPU speedup under 3x at %d clients" clients))
-    [ 1024; 2048 ];
-  print_endline "\nsame payload bytes at every width; flows pinned to their RSS";
-  print_endline "home CPU, the listen socket accepting on CPU 0";
-  write_json "BENCH_smp.json" "rows"
-    [ json_str "bench" "smp"; json_int "file_bytes" Smpbench.file_bytes;
-      json_int "backlog" Smpbench.backlog; json_str "unit" "req/s" ]
-    (List.map
-       (fun r ->
-         json_obj
-           ([ json_int "ncpus" r.Smpbench.r_ncpus;
-              json_int "clients" r.Smpbench.r_clients;
-              json_int "requests" r.Smpbench.r_requests;
-              json_float "duration_ms" r.Smpbench.r_duration_ms;
-              json_float "rps" r.Smpbench.r_rps;
-              json_float "p50_us" r.Smpbench.r_p50_us;
-              json_float "p99_us" r.Smpbench.r_p99_us;
-              json_int "responses" r.Smpbench.r_responses;
-              json_int "mismatches" r.Smpbench.r_mismatches;
-              json_int "rss_steered" r.Smpbench.r_rss_steered;
-              json_int "netisr_queued" r.Smpbench.r_netisr_queued;
-              json_int "netisr_drops" r.Smpbench.r_netisr_drops;
-              json_int "spin_contentions" r.Smpbench.r_spin_contentions ]
-           @ Array.to_list
-               (Array.mapi
-                  (fun i f -> json_float (Printf.sprintf "cpu%d_share" i) f)
-                  r.Smpbench.r_cpu_share)))
-       rows)
-
-(* ---------------- smpsmoke: CI gate for SMP sharding ---------------- *)
-
-let smpsmoke () =
-  section_header "SMP smoke: 256-client sharding gates (fails loudly on regression)";
-  smp_header ();
-  let r1 = Smpbench.run ~ncpus:1 ~clients:256 () in
-  smp_row r1;
-  smp_check r1;
-  let r4 = Smpbench.run ~ncpus:4 ~clients:256 () in
-  smp_row r4;
-  smp_check r4;
-  if r4.Smpbench.r_rps <= r1.Smpbench.r_rps then
-    failwith "smpsmoke: 4 CPUs not faster than 1";
-  if r4.Smpbench.r_rss_steered + r4.Smpbench.r_netisr_queued = 0 then
-    failwith "smpsmoke: no frames were ever steered (sharding inert?)";
-  print_endline "byte-exact at both widths; 4-CPU req/s strictly higher; hot path lock-free"
-
-(* ---------------- httpsmoke: CI gate for the asyncio path ---------------- *)
-
-let httpsmoke () =
-  section_header "HTTP smoke: 64 concurrent clients, both stacks, both serving shapes";
-  http_header ();
-  List.iter
-    (fun config ->
-      let run mode = Httpbench.run ~config ~mode ~clients:64 () in
-      let th = run Httpbench.Threads in
-      http_row th;
-      let re = run Httpbench.Reactor in
-      http_row re;
-      http_check th;
-      http_check re;
-      if re.Httpbench.r_rps < th.Httpbench.r_rps then
-        failwith "httpsmoke: reactor slower than thread-per-connection")
-    [ Httpbench.Freebsd_com; Httpbench.Linux_com ];
-  print_endline "\nzero protocol errors, every response byte-exact, reactor >= threaded req/s"
+  (* The former rttsmoke batching gate: the fast-path run must coalesce
+     frames, more than one per glue crossing on average. *)
+  List.iter (fun check -> check [ hon ]) http_checks;
+  if polls = 0 then failwith "rttsmoke: batched receive path never polled";
+  if frames <= polls then failwith "rttsmoke: mean frames per poll not > 1";
+  Row.write_json "BENCH_rtt.json"
+    Row.[ jstr "bench" "rtt"; jint "trips" trips; jstr "unit" "usec";
+          jfloat "http128_p50_us_default" hoff.Httpbench.r_p50_us;
+          jfloat "http128_p50_us_fastpath" hon.Httpbench.r_p50_us;
+          jfloat "http128_p99_us_default" hoff.Httpbench.r_p99_us;
+          jfloat "http128_p99_us_fastpath" hon.Httpbench.r_p99_us;
+          jint "http128_rx_polls" polls; jint "http128_rx_frames" frames ]
+    (Row.objs fields rows)
 
 (* ---------------- rttsmoke: CI gate for the receive fast path ---------------- *)
 
@@ -830,7 +661,7 @@ let rttsmoke () =
       in
       Printf.printf "fastpath ttcp %-8s loss %4.1f%%: %8.2f Mbit/s, byte-exact %s\n%!"
         (Netbench.config_name sender) (loss *. 100.0) r.Netbench.goodput_mbit
-        (if r.Netbench.byte_exact then "yes" else "NO");
+        (exact r.Netbench.byte_exact);
       if not r.Netbench.byte_exact then
         failwith "rttsmoke: fast path broke byte-exactness")
     [ Netbench.Oskit, 0.0; Netbench.Oskit, 0.01;
@@ -855,21 +686,7 @@ let rttsmoke () =
   if fast.Netbench.rtt_fastpath_fallbacks <> 0 then
     failwith "rttsmoke: prediction fallbacks on a clean in-order run";
   if fast.Netbench.rtt_pcb_cache_hits = 0 then failwith "rttsmoke: zero pcb-cache hits";
-  (* 3) batching: a 128-client connect burst against the OSKit config must
-     coalesce frames — more than one frame per glue crossing on average. *)
-  let r =
-    fast_flags true (fun () ->
-        Httpbench.run ~config:Httpbench.Oskit_com ~mode:Httpbench.Reactor ~clients:128 ())
-  in
-  http_check r;
-  let polls = Cost.counters.Cost.rx_polls in
-  let frames = Cost.counters.Cost.rx_batched_frames in
-  Printf.printf "http 128 clients (OSKit, reactor): %d frames over %d polls (%.2f frames/poll)\n%!"
-    frames polls
-    (float_of_int frames /. float_of_int (max 1 polls));
-  if polls = 0 then failwith "rttsmoke: batched receive path never polled";
-  if frames <= polls then failwith "rttsmoke: mean frames per poll not > 1";
-  print_endline "\nbyte-exact with everything on; RTT strictly lower; batching engaged"
+  print_endline "\nbyte-exact with everything on; RTT strictly lower"
 
 (* ---------------- longfat: RTT x loss with scaled windows ---------------- *)
 
@@ -886,6 +703,58 @@ let longfat_bytes ~rtt_ns ~loss =
   if loss = 0.0 then max (2 * 1024 * 1024) (25 * bdp)
   else max (1024 * 1024) (4 * bdp)
 
+type lf_row = {
+  lf_config : Netbench.config;
+  rtt_ms : float;
+  loss : float;
+  buffers : string;
+  bytes : int;
+  lf : Netbench.longfat_result;
+}
+
+let longfat_fields =
+  Row.
+    [ str "system" ~t:("%-8s", "stack") (fun r -> Netbench.config_name r.lf_config);
+      float "rtt_ms" ~t:("%5.1fms", "rtt") (fun r -> r.rtt_ms);
+      float "loss" (fun r -> r.loss);
+      show "%5.1f%%" "loss" (fun r -> r.loss *. 100.0);
+      str "buffers" ~t:("%-11s", "buffers") (fun r -> r.buffers);
+      int "bytes" (fun r -> r.bytes);
+      float "mbit" ~t:("%10.2f", "Mbit/s") (fun r -> r.lf.Netbench.lf_mbit);
+      int "rexmits" ~t:("%9d", "rexmits") (fun r -> r.lf.Netbench.lf_rexmits);
+      int "rcv_buf" ~t:("%10d", "rcv buf") (fun r -> r.lf.Netbench.lf_rcv_buf);
+      str "byte_exact" (fun r -> if r.lf.Netbench.lf_byte_exact then "yes" else "no");
+      show "%11s" "byte-exact" (fun r -> exact r.lf.Netbench.lf_byte_exact) ]
+
+let longfat_configs = [ Netbench.Freebsd; Netbench.Linux ]
+
+let longfat_at rows config rtt_ms loss buffers =
+  (List.find
+     (fun r ->
+       r.lf_config = config && r.rtt_ms = rtt_ms && r.loss = loss && r.buffers = buffers)
+     rows)
+    .lf
+
+(* The long-fat-pipe claims, asserted at generation time so the committed JSON
+   can't drift from them: at 50 ms / 0% loss, scaled windows buy >= 5x the
+   seed throughput, and autotuning lands within 10% of the hand-sized
+   buffers — in both stacks.  The 10 ms / 1% autotune cells are the former
+   longfatsmoke lossy run. *)
+let longfat_gates =
+  List.concat_map
+    (fun config ->
+      let mbit rows buffers = (longfat_at rows config 50.0 0.0 buffers).Netbench.lf_mbit in
+      let lossy rows = longfat_at rows config 10.0 0.01 "autotune" in
+      [ Row.check "longfat: scaled windows under 5x the seed throughput at 50ms" (fun rows ->
+            mbit rows "manual-bdp" >= 5.0 *. mbit rows "default");
+        Row.check "longfat: autotuned throughput under 90% of manual BDP sizing" (fun rows ->
+            mbit rows "autotune" >= 0.9 *. mbit rows "manual-bdp");
+        Row.check "longfatsmoke: lossy scaled-window transfer not byte-exact" (fun rows ->
+            (lossy rows).Netbench.lf_byte_exact);
+        Row.check "longfatsmoke: netem loss produced no retransmissions" (fun rows ->
+            (lossy rows).Netbench.lf_rexmits <> 0) ])
+    longfat_configs
+
 let longfat () =
   section_header
     "Longfat: ttcp over stretched wires (wscale + NewReno + buffer autotuning)";
@@ -893,102 +762,41 @@ let longfat () =
     "default = seed config (16-bit windows, fixed buffers); manual-bdp =\n\
      wscale on, both ends hand-sized to 2x BDP; autotune = wscale on, the\n\
      stacks grow their own buffers.  100 Mbps wire, netem seed 42.\n";
-  Printf.printf "%-8s %7s %6s %-11s %10s %9s %10s %11s\n" "stack" "rtt" "loss"
-    "buffers" "Mbit/s" "rexmits" "rcv buf" "byte-exact";
   let rows =
-    List.concat_map
-      (fun config ->
-        List.concat_map
-          (fun rtt_ms ->
-            let rtt_ns = int_of_float (rtt_ms *. 1e6) in
-            List.concat_map
-              (fun loss ->
-                List.map
-                  (fun (mode_name, bufmode) ->
-                    let bytes = longfat_bytes ~rtt_ns ~loss in
-                    let r =
-                      Netbench.longfat_transfer ~seed:42 ~loss ~config ~rtt_ns
-                        ~bufmode ~bytes ()
-                    in
-                    Printf.printf "%-8s %5.1fms %5.1f%% %-11s %10.2f %9d %10d %11s\n%!"
-                      (Netbench.config_name config) rtt_ms (loss *. 100.0)
-                      mode_name r.Netbench.lf_mbit r.Netbench.lf_rexmits
-                      r.Netbench.lf_rcv_buf
-                      (if r.Netbench.lf_byte_exact then "yes" else "NO");
-                    if not r.Netbench.lf_byte_exact then
-                      failwith "longfat: transfer was not byte-exact";
-                    config, rtt_ms, loss, mode_name, bytes, r)
-                  longfat_modes)
-              [ 0.0; 0.01; 0.03 ])
-          [ 0.1; 1.0; 10.0; 50.0 ])
-      [ Netbench.Freebsd; Netbench.Linux ]
-  in
-  (* The tentpole claims, asserted at generation time so the committed
-     JSON can't drift from them: at 50 ms / 0% loss, scaled windows buy
-     >= 5x the seed throughput, and autotuning lands within 10% of the
-     hand-sized buffers — in both stacks. *)
-  let cell config mode =
-    let _, _, _, _, _, r =
-      List.find
-        (fun (c, rtt, loss, m, _, _) ->
-          c = config && rtt = 50.0 && loss = 0.0 && m = mode)
-        rows
-    in
-    r.Netbench.lf_mbit
+    Row.table longfat_fields
+      ~checks:
+        [ Row.each "longfat: transfer was not byte-exact" (fun r ->
+              r.lf.Netbench.lf_byte_exact) ]
+      (fun (lf_config, (rtt_ms, (loss, (buffers, bufmode)))) ->
+        let rtt_ns = int_of_float (rtt_ms *. 1e6) in
+        let bytes = longfat_bytes ~rtt_ns ~loss in
+        { lf_config; rtt_ms; loss; buffers; bytes;
+          lf =
+            Netbench.longfat_transfer ~seed:42 ~loss ~config:lf_config ~rtt_ns ~bufmode ~bytes
+              () })
+      Row.(longfat_configs *** [ 0.1; 1.0; 10.0; 50.0 ] *** [ 0.0; 0.01; 0.03 ]
+           *** longfat_modes)
   in
   List.iter
     (fun config ->
-      let dflt = cell config "default" in
-      let manual = cell config "manual-bdp" in
-      let auto = cell config "autotune" in
+      let mbit buffers = (longfat_at rows config 50.0 0.0 buffers).Netbench.lf_mbit in
+      let dflt = mbit "default" and manual = mbit "manual-bdp" and auto = mbit "autotune" in
       Printf.printf
         "\n%s @50ms/0%%: default %.2f, manual-bdp %.2f (%.1fx), autotune %.2f (%.0f%% of manual)\n"
         (Netbench.config_name config) dflt manual (manual /. dflt) auto
-        (100.0 *. auto /. manual);
-      if manual < 5.0 *. dflt then
-        failwith "longfat: scaled windows under 5x the seed throughput at 50ms";
-      if auto < 0.9 *. manual then
-        failwith "longfat: autotuned throughput under 90% of manual BDP sizing")
-    [ Netbench.Freebsd; Netbench.Linux ];
-  write_json "BENCH_longfat.json" "rows"
-    [ json_str "bench" "longfat"; json_str "unit" "Mbit/s";
-      json_int "wire_mbit" 100; json_int "seed" 42 ]
-    (List.map
-       (fun (config, rtt_ms, loss, mode_name, bytes, r) ->
-         json_obj
-           [ json_str "system" (Netbench.config_name config);
-             json_float "rtt_ms" rtt_ms;
-             json_float "loss" loss;
-             json_str "buffers" mode_name;
-             json_int "bytes" bytes;
-             json_float "mbit" r.Netbench.lf_mbit;
-             json_int "rexmits" r.Netbench.lf_rexmits;
-             json_int "rcv_buf" r.Netbench.lf_rcv_buf;
-             json_str "byte_exact" (if r.Netbench.lf_byte_exact then "yes" else "no") ])
-       rows)
+        (100.0 *. auto /. manual))
+    longfat_configs;
+  List.iter (fun gate -> gate rows) longfat_gates;
+  Row.write_json "BENCH_longfat.json"
+    Row.[ jstr "bench" "longfat"; jstr "unit" "Mbit/s"; jint "wire_mbit" 100; jint "seed" 42 ]
+    (Row.objs longfat_fields rows)
 
 (* ---------------- longfatsmoke: CI gate for long-fat-pipe TCP ---------------- *)
 
 let longfatsmoke () =
   section_header "Longfat smoke: wscale/NewReno/autotune gates (fails loudly on regression)";
-  (* 1) byte-exactness with everything on, under loss, at WAN RTT — both
-     stacks exercise wscale negotiation, dup-ACK recovery, and autotuning. *)
-  List.iter
-    (fun config ->
-      let r =
-        Netbench.longfat_transfer ~seed:42 ~loss:0.01 ~config
-          ~rtt_ns:10_000_000 ~bufmode:Netbench.Lf_autotune
-          ~bytes:(1024 * 1024) ()
-      in
-      Printf.printf "%-8s 10ms 1%% autotune: %8.2f Mbit/s, %d rexmits, byte-exact %s\n%!"
-        (Netbench.config_name config) r.Netbench.lf_mbit r.Netbench.lf_rexmits
-        (if r.Netbench.lf_byte_exact then "yes" else "NO");
-      if not r.Netbench.lf_byte_exact then
-        failwith "longfatsmoke: lossy scaled-window transfer not byte-exact";
-      if r.Netbench.lf_rexmits = 0 then
-        failwith "longfatsmoke: netem loss produced no retransmissions")
-    [ Netbench.Freebsd; Netbench.Linux ];
-  (* 2) autotuning holds its own against hand-sized buffers at 50 ms. *)
+  (* 1) autotuning holds its own against hand-sized buffers at 50 ms, on
+     an 8 MB transfer rather than the grid's 15.6 MB. *)
   List.iter
     (fun config ->
       let run bufmode =
@@ -1008,15 +816,13 @@ let longfatsmoke () =
         failwith "longfatsmoke: autotune under 90% of manual BDP buffers";
       if auto.Netbench.lf_rcv_buf <= 64 * 1024 then
         failwith "longfatsmoke: autotune never grew the receive buffer")
-    [ Netbench.Freebsd; Netbench.Linux ];
-  (* 3) the persist timer probes through a forced zero-window stall. *)
-  let probes, exact = Netbench.zero_window_run () in
-  Printf.printf "zero-window stall: %d persist probes, byte-exact %s\n%!" probes
-    (if exact then "yes" else "NO");
+    longfat_configs;
+  (* 2) the persist timer probes through a forced zero-window stall. *)
+  let probes, ok = Netbench.zero_window_run () in
+  Printf.printf "zero-window stall: %d persist probes, byte-exact %s\n%!" probes (exact ok);
   if probes = 0 then failwith "longfatsmoke: persist timer never probed";
-  if not exact then failwith "longfatsmoke: zero-window run not byte-exact";
-  print_endline
-    "\nbyte-exact under loss; >=5x at 50ms; autotune >= 90% of manual; probes fire"
+  if not ok then failwith "longfatsmoke: zero-window run not byte-exact";
+  print_endline "\n>=5x at 50ms; autotune >= 90% of manual; probes fire"
 
 (* ---------------- overload: survival under deliberate abuse ---------------- *)
 
@@ -1033,176 +839,207 @@ let overload_soak_bytes = 262144
 
 let overload_servers = [ Overloadbench.Sv_freebsd; Overloadbench.Sv_linux ]
 
-let overload_flood_matrix () =
+let flood_fields =
+  Overloadbench.(
+    Row.
+      [ str "kind" (fun _ -> "flood");
+        str "server" ~t:("%-8s", "server") (fun r -> server_name r.fl_server);
+        str "defense" ~t:("%-8s", "defense") (fun r -> on_off r.fl_defense);
+        int "flood_syns" ~t:("%6d", "flood") (fun r -> r.fl_flood);
+        int "legit" (fun r -> r.fl_legit);
+        int "served" (fun r -> r.fl_served);
+        cell 12 "legit-served" (fun r -> Printf.sprintf "%8d/%-3d" r.fl_served r.fl_legit);
+        int "bytes" (fun r -> r.fl_bytes);
+        float "goodput_mbit" ~t:("%7.1f Mb", "goodput") (fun r -> r.fl_goodput_mbit);
+        int "syncache_added" ~t:("%8d", "cache") (fun r -> r.fl_syncache_added);
+        int "handshakes_completed" ~t:("%10d", "completed") (fun r -> r.fl_completed);
+        int "listen_overflow" ~t:("%9d", "overflow") (fun r -> r.fl_listen_overflow) ])
+
+let alloc_fields =
+  Overloadbench.(
+    Row.
+      [ str "kind" (fun _ -> "alloc");
+        str "server" ~t:("%-8s", "server") (fun r -> server_name r.al_server);
+        float "fail_prob" ~t:("%6.3f", "prob") (fun r -> r.al_prob);
+        int "bytes" (fun r -> r.al_bytes);
+        str "byte_exact" (fun r -> if r.al_byte_exact then "yes" else "no");
+        float "goodput_mbit" ~t:("%7.1f Mb", "goodput") (fun r -> r.al_goodput_mbit);
+        show "%10s" "byte-exact" (fun r -> exact r.al_byte_exact);
+        int "draws" ~t:("%8d", "draws") (fun r -> r.al_draws);
+        int "failures" ~t:("%9d", "failures") (fun r -> r.al_failures);
+        int "nomem_drops" ~t:("%6d", "drops") (fun r -> r.al_nomem_drops) ])
+
+let loris_fields =
+  Overloadbench.(
+    Row.
+      [ str "kind" (fun _ -> "loris");
+        str "guard" ~t:("%-6s", "guard") (fun r -> on_off r.lo_guard);
+        int "loris" ~t:("%6d", "loris") (fun r -> r.lo_loris);
+        int "legit" (fun r -> r.lo_legit);
+        int "served" (fun r -> r.lo_served);
+        cell 13 "legit-served" (fun r -> Printf.sprintf "%9d/%-3d" r.lo_served r.lo_legit);
+        int "deadline_closed" ~t:("%15d", "deadline-cuts") (fun r -> r.lo_deadline_closed);
+        int "shed" ~t:("%5d", "shed") (fun r -> r.lo_shed);
+        int "peak_active" ~t:("%11d", "peak-active") (fun r -> r.lo_peak_active) ])
+
+(* The former overloadsmoke gates, on the defended flood rows, the 1%
+   soak rows and the guarded Slowloris row: a defended 10x flood leaves
+   every legitimate client served at >= 70% of clean goodput; the soak
+   stays byte-exact with the injector firing; the guard reclaims parked
+   slots and serves the late clients. *)
+let flood_gates =
+  let open Overloadbench in
   List.concat_map
     (fun server ->
-      List.concat_map
-        (fun defense ->
-          List.map
-            (fun flood ->
-              Overloadbench.flood_run ~server ~defense ~flood
-                ~legit:overload_legit ~bytes_per_client:overload_bytes_per_client
-                ())
-            [ 0; overload_flood_syns ])
-        [ false; true ])
+      let name = server_name server in
+      let defended rows flood =
+        List.find (fun r -> r.fl_server = server && r.fl_defense && r.fl_flood = flood) rows
+      in
+      let flooded rows = defended rows overload_flood_syns in
+      [ Row.check (Printf.sprintf "overloadsmoke: %s dropped a legit client under flood" name)
+          (fun rows -> (flooded rows).fl_served >= overload_legit);
+        Row.check (Printf.sprintf "overloadsmoke: %s flooded goodput under 70%% of clean" name)
+          (fun rows ->
+            (flooded rows).fl_goodput_mbit /. (defended rows 0).fl_goodput_mbit >= 0.70);
+        Row.check (Printf.sprintf "overloadsmoke: %s syncache missed flood SYNs" name)
+          (fun rows -> (flooded rows).fl_syncache_added >= overload_flood_syns) ])
     overload_servers
 
-let overload_alloc_matrix () =
-  List.concat_map
-    (fun server ->
-      List.map
-        (fun (prob, seed) ->
-          Overloadbench.alloc_run ~server ~prob ~seed ~bytes:overload_soak_bytes ())
-        [ (0.0, 42); (0.001, 42); (0.01, 43) ])
-    overload_servers
+let alloc_gates =
+  let soak r = r.Overloadbench.al_prob = 0.01 in
+  Overloadbench.
+    [ Row.each "overloadsmoke: soak transfer not byte-exact" (fun r ->
+          not (soak r) || r.al_byte_exact);
+      Row.each "overloadsmoke: soak injector never fired" (fun r ->
+          not (soak r) || r.al_failures <> 0) ]
 
-let overload_loris_matrix () =
-  List.map (fun guard -> Overloadbench.loris_run ~guard ~loris:8 ~legit:4 ()) [ false; true ]
+let loris_gates =
+  Overloadbench.
+    [ Row.each "overloadsmoke: guarded httpd dropped a legit client" (fun r ->
+          not r.lo_guard || r.lo_served >= r.lo_legit);
+      Row.each "overloadsmoke: header deadline never fired" (fun r ->
+          not r.lo_guard || r.lo_deadline_closed <> 0) ]
 
 let overload () =
   section_header "overload: SYN flood x alloc failure x Slowloris";
-  let floods = overload_flood_matrix () in
-  Printf.printf "%-8s %-8s %6s %12s %10s %8s %10s %9s\n" "server" "defense"
-    "flood" "legit-served" "goodput" "cache" "completed" "overflow";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %-8s %6d %8d/%-3d %7.1f Mb %8d %10d %9d\n"
-        (Overloadbench.server_name r.Overloadbench.fl_server)
-        (if r.Overloadbench.fl_defense then "on" else "off")
-        r.Overloadbench.fl_flood r.Overloadbench.fl_served
-        r.Overloadbench.fl_legit r.Overloadbench.fl_goodput_mbit
-        r.Overloadbench.fl_syncache_added r.Overloadbench.fl_completed
-        r.Overloadbench.fl_listen_overflow)
-    floods;
-  let allocs = overload_alloc_matrix () in
-  Printf.printf "\n%-8s %6s %10s %10s %8s %9s %6s\n" "server" "prob" "goodput"
-    "byte-exact" "draws" "failures" "drops";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %6.3f %7.1f Mb %10s %8d %9d %6d\n"
-        (Overloadbench.server_name r.Overloadbench.al_server)
-        r.Overloadbench.al_prob r.Overloadbench.al_goodput_mbit
-        (if r.Overloadbench.al_byte_exact then "yes" else "NO")
-        r.Overloadbench.al_draws r.Overloadbench.al_failures
-        r.Overloadbench.al_nomem_drops)
-    allocs;
-  let lorises = overload_loris_matrix () in
-  Printf.printf "\n%-6s %6s %13s %15s %5s %11s\n" "guard" "loris" "legit-served"
-    "deadline-cuts" "shed" "peak-active";
-  List.iter
-    (fun r ->
-      Printf.printf "%-6s %6d %9d/%-3d %15d %5d %11d\n"
-        (if r.Overloadbench.lo_guard then "on" else "off")
-        r.Overloadbench.lo_loris r.Overloadbench.lo_served
-        r.Overloadbench.lo_legit r.Overloadbench.lo_deadline_closed
-        r.Overloadbench.lo_shed r.Overloadbench.lo_peak_active)
-    lorises;
-  write_json "BENCH_overload.json" "rows"
-    [ json_str "bench" "overload"; json_int "flood_syns" overload_flood_syns;
-      json_int "legit_clients" overload_legit;
-      json_int "bytes_per_client" overload_bytes_per_client;
-      json_int "soak_bytes" overload_soak_bytes; json_str "unit" "Mbit/s" ]
-    (List.map
-       (fun r ->
-         json_obj
-           [ json_str "kind" "flood";
-             json_str "server" (Overloadbench.server_name r.Overloadbench.fl_server);
-             json_str "defense" (if r.Overloadbench.fl_defense then "on" else "off");
-             json_int "flood_syns" r.Overloadbench.fl_flood;
-             json_int "legit" r.Overloadbench.fl_legit;
-             json_int "served" r.Overloadbench.fl_served;
-             json_int "bytes" r.Overloadbench.fl_bytes;
-             json_float "goodput_mbit" r.Overloadbench.fl_goodput_mbit;
-             json_int "syncache_added" r.Overloadbench.fl_syncache_added;
-             json_int "handshakes_completed" r.Overloadbench.fl_completed;
-             json_int "listen_overflow" r.Overloadbench.fl_listen_overflow ])
-       floods
-    @ List.map
-        (fun r ->
-          json_obj
-            [ json_str "kind" "alloc";
-              json_str "server" (Overloadbench.server_name r.Overloadbench.al_server);
-              json_float "fail_prob" r.Overloadbench.al_prob;
-              json_int "bytes" r.Overloadbench.al_bytes;
-              json_str "byte_exact" (if r.Overloadbench.al_byte_exact then "yes" else "no");
-              json_float "goodput_mbit" r.Overloadbench.al_goodput_mbit;
-              json_int "draws" r.Overloadbench.al_draws;
-              json_int "failures" r.Overloadbench.al_failures;
-              json_int "nomem_drops" r.Overloadbench.al_nomem_drops ])
-        allocs
-    @ List.map
-        (fun r ->
-          json_obj
-            [ json_str "kind" "loris";
-              json_str "guard" (if r.Overloadbench.lo_guard then "on" else "off");
-              json_int "loris" r.Overloadbench.lo_loris;
-              json_int "legit" r.Overloadbench.lo_legit;
-              json_int "served" r.Overloadbench.lo_served;
-              json_int "deadline_closed" r.Overloadbench.lo_deadline_closed;
-              json_int "shed" r.Overloadbench.lo_shed;
-              json_int "peak_active" r.Overloadbench.lo_peak_active ])
-        lorises)
+  let floods =
+    Row.table flood_fields
+      (fun (server, (defense, flood)) ->
+        Overloadbench.flood_run ~server ~defense ~flood ~legit:overload_legit
+          ~bytes_per_client:overload_bytes_per_client ())
+      Row.(overload_servers *** [ false; true ] *** [ 0; overload_flood_syns ])
+  in
+  print_newline ();
+  let allocs =
+    Row.table alloc_fields
+      (fun (server, (prob, seed)) ->
+        Overloadbench.alloc_run ~server ~prob ~seed ~bytes:overload_soak_bytes ())
+      Row.(overload_servers *** [ (0.0, 42); (0.001, 42); (0.01, 43) ])
+  in
+  print_newline ();
+  let lorises =
+    Row.table loris_fields
+      (fun guard -> Overloadbench.loris_run ~guard ~loris:8 ~legit:4 ())
+      [ false; true ]
+  in
+  List.iter (fun gate -> gate floods) flood_gates;
+  List.iter (fun gate -> gate allocs) alloc_gates;
+  List.iter (fun gate -> gate lorises) loris_gates;
+  Row.write_json "BENCH_overload.json"
+    Row.[ jstr "bench" "overload"; jint "flood_syns" overload_flood_syns;
+          jint "legit_clients" overload_legit;
+          jint "bytes_per_client" overload_bytes_per_client;
+          jint "soak_bytes" overload_soak_bytes; jstr "unit" "Mbit/s" ]
+    (Row.objs flood_fields floods @ Row.objs alloc_fields allocs
+    @ Row.objs loris_fields lorises)
 
-(* ---------------- overloadsmoke: CI gate for overload survival ---------------- *)
+(* ---------------- smp: multi-CPU scale-out ---------------- *)
 
-let overloadsmoke () =
-  section_header "overloadsmoke: overload-survival CI gate";
-  (* 1) with the defense on, a 10x SYN flood must leave every legitimate
-     client served and goodput within 70% of the clean run. *)
+let smp_fields =
+  Smpbench.(
+    Row.
+      [ int "ncpus" ~t:("%-6d", "ncpus") (fun r -> r.r_ncpus);
+        int "clients" ~t:("%8d", "clients") (fun r -> r.r_clients);
+        int "requests" (fun r -> r.r_requests);
+        float "duration_ms" (fun r -> r.r_duration_ms);
+        float "rps" ~t:("%10.0f", "req/s") (fun r -> r.r_rps);
+        float "p50_us" ~t:("%10.1f", "p50 (us)") (fun r -> r.r_p50_us);
+        float "p99_us" ~t:("%10.1f", "p99 (us)") (fun r -> r.r_p99_us);
+        int "responses" (fun r -> r.r_responses);
+        int "mismatches" (fun r -> r.r_mismatches);
+        int "rss_steered" ~t:("%8d", "hw-rss") (fun r -> r.r_rss_steered);
+        int "netisr_queued" ~t:("%8d", "netisr") (fun r -> r.r_netisr_queued);
+        int "netisr_drops" ~t:("%8d", "drops") (fun r -> r.r_netisr_drops);
+        int "spin_contentions" ~t:("%6d", "spins") (fun r -> r.r_spin_contentions);
+        (* One member per CPU; the column sits two spaces out. *)
+        { json =
+            (fun r ->
+              Array.to_list
+                (Array.mapi
+                   (fun i f -> jfloat (Printf.sprintf "cpu%d_share" i) f)
+                   r.r_cpu_share));
+          col =
+            Some
+              ( " cpu share",
+                fun r ->
+                  Printf.sprintf " [%s]"
+                    (String.concat " "
+                       (Array.to_list (Array.map (Printf.sprintf "%.2f") r.r_cpu_share))) ) } ])
+
+let smp_checks =
+  Smpbench.
+    [ Row.each "smp: response was not byte-exact" (fun r -> r.r_mismatches = 0);
+      Row.each "smp: not every request got a 200" (fun r -> r.r_responses = r.r_requests);
+      Row.each "smp: spinlock contention on the per-flow hot path"
+        (fun r -> r.r_spin_contentions = 0);
+      Row.each "smp: netisr queue overflowed" (fun r -> r.r_netisr_drops = 0) ]
+
+let smp_at rows ~clients ~ncpus =
+  List.find (fun r -> r.Smpbench.r_ncpus = ncpus && r.Smpbench.r_clients = clients) rows
+
+let smp_speedup rows ~clients ~ncpus =
+  (smp_at rows ~clients ~ncpus).Smpbench.r_rps /. (smp_at rows ~clients ~ncpus:1).Smpbench.r_rps
+
+(* 4 CPUs scale >= 3x at the wide bursts; the 256-client 1- and 4-CPU
+   rows are the former smpsmoke run. *)
+let smp_gates =
+  List.map
+    (fun clients ->
+      Row.check (Printf.sprintf "smp: 4-CPU speedup under 3x at %d clients" clients)
+        (fun rows -> smp_speedup rows ~clients ~ncpus:4 >= 3.0))
+    [ 1024; 2048 ]
+  @ Smpbench.
+      [ Row.check "smpsmoke: 4 CPUs not faster than 1" (fun rows ->
+            (smp_at rows ~clients:256 ~ncpus:4).r_rps
+            > (smp_at rows ~clients:256 ~ncpus:1).r_rps);
+        Row.check "smpsmoke: no frames were ever steered (sharding inert?)" (fun rows ->
+            let r = smp_at rows ~clients:256 ~ncpus:4 in
+            r.r_rss_steered + r.r_netisr_queued <> 0) ]
+
+let smp () =
+  section_header
+    "SMP: netisr-sharded reactor httpd, RSS flow steering (req/s vs CPUs)";
+  let widths = [ 256; 1024; 2048 ] in
+  let rows =
+    Row.table ~checks:smp_checks smp_fields
+      (fun (clients, ncpus) -> Smpbench.run ~ncpus ~clients ())
+      Row.(widths *** [ 1; 2; 4; 8 ])
+  in
+  print_newline ();
   List.iter
-    (fun server ->
-      let name = Overloadbench.server_name server in
-      let clean =
-        Overloadbench.flood_run ~server ~defense:true ~flood:0
-          ~legit:overload_legit ~bytes_per_client:overload_bytes_per_client ()
-      in
-      let flooded =
-        Overloadbench.flood_run ~server ~defense:true ~flood:overload_flood_syns
-          ~legit:overload_legit ~bytes_per_client:overload_bytes_per_client ()
-      in
-      let ratio =
-        flooded.Overloadbench.fl_goodput_mbit /. clean.Overloadbench.fl_goodput_mbit
-      in
-      Printf.printf
-        "%s defended: clean %.1f Mb, flooded %.1f Mb (ratio %.2f), served %d/%d\n%!"
-        name clean.Overloadbench.fl_goodput_mbit flooded.Overloadbench.fl_goodput_mbit
-        ratio flooded.Overloadbench.fl_served flooded.Overloadbench.fl_legit;
-      if flooded.Overloadbench.fl_served < overload_legit then
-        failwith (Printf.sprintf "overloadsmoke: %s dropped a legit client under flood" name);
-      if ratio < 0.70 then
-        failwith (Printf.sprintf "overloadsmoke: %s flooded goodput under 70%% of clean" name);
-      if flooded.Overloadbench.fl_syncache_added < overload_flood_syns then
-        failwith (Printf.sprintf "overloadsmoke: %s syncache missed flood SYNs" name))
-    overload_servers;
-  (* 2) a 1% allocation-failure soak must finish byte-exact with the
-     injector demonstrably firing, and without a crash. *)
-  List.iter
-    (fun server ->
-      let r =
-        Overloadbench.alloc_run ~server ~prob:0.01 ~seed:43
-          ~bytes:overload_soak_bytes ()
-      in
-      Printf.printf "%s 1%% soak: byte-exact %s, %d failures, %d drops\n%!"
-        (Overloadbench.server_name r.Overloadbench.al_server)
-        (if r.Overloadbench.al_byte_exact then "yes" else "NO")
-        r.Overloadbench.al_failures r.Overloadbench.al_nomem_drops;
-      if not r.Overloadbench.al_byte_exact then
-        failwith "overloadsmoke: soak transfer not byte-exact";
-      if r.Overloadbench.al_failures = 0 then
-        failwith "overloadsmoke: soak injector never fired")
-    overload_servers;
-  (* 3) the guarded httpd reclaims Slowloris slots and serves the
-     late-arriving legitimate clients. *)
-  let r = Overloadbench.loris_run ~guard:true ~loris:8 ~legit:4 () in
-  Printf.printf "guarded httpd: served %d/%d, %d deadline cuts\n%!"
-    r.Overloadbench.lo_served r.Overloadbench.lo_legit
-    r.Overloadbench.lo_deadline_closed;
-  if r.Overloadbench.lo_served < r.Overloadbench.lo_legit then
-    failwith "overloadsmoke: guarded httpd dropped a legit client";
-  if r.Overloadbench.lo_deadline_closed = 0 then
-    failwith "overloadsmoke: header deadline never fired";
-  print_endline
-    "\nflood goodput >= 70% of clean; soak byte-exact; Slowloris slots reclaimed"
+    (fun clients ->
+      Printf.printf "@%d clients: 2 CPUs %.2fx, 4 CPUs %.2fx, 8 CPUs %.2fx\n" clients
+        (smp_speedup rows ~clients ~ncpus:2)
+        (smp_speedup rows ~clients ~ncpus:4)
+        (smp_speedup rows ~clients ~ncpus:8))
+    widths;
+  List.iter (fun gate -> gate rows) smp_gates;
+  print_endline "\nsame payload bytes at every width; flows pinned to their RSS";
+  print_endline "home CPU, the listen socket accepting on CPU 0";
+  Row.write_json "BENCH_smp.json"
+    Row.[ jstr "bench" "smp"; jint "file_bytes" Httpbench.file_bytes;
+          jint "backlog" Smpbench.backlog; jstr "unit" "req/s" ]
+    (Row.objs smp_fields rows)
 
 (* ---------------- event: kqueue + timing-wheel complexity ---------------- *)
 
@@ -1210,106 +1047,93 @@ let overloadsmoke () =
    timer work tracks the due set, no matter how much idle state is
    registered.  Both sweeps hold the hot population fixed and grow the
    idle population three decades; the flat column is the result. *)
+
+let kq_fields =
+  Eventbench.(
+    Row.
+      [ str "kind" (fun _ -> "kqueue");
+        int "idle" ~t:("%-10d", "idle") (fun r -> r.kr_idle);
+        int "scan_visits" ~t:("%14d", "scan visits") (fun r -> r.kr_scan_visits);
+        int "kq_visits" ~t:("%14d", "kq visits") (fun r -> r.kr_kq_visits);
+        int "dispatches" ~t:("%12d", "dispatches") (fun r -> r.kr_dispatches) ])
+
+let wheel_fields =
+  Eventbench.(
+    Row.
+      [ str "kind" (fun _ -> "wheel");
+        int "idle" ~t:("%-10d", "idle") (fun r -> r.wr_idle);
+        int "work" ~t:("%14d", "wheel work") (fun r -> r.wr_work);
+        int "fires" ~t:("%10d", "fires") (fun r -> r.wr_fires);
+        int "cascades" ~t:("%10d", "cascades") (fun r -> r.wr_cascades);
+        int "scan_visits" ~t:("%14d", "scan visits") (fun r -> r.wr_scan_visits) ])
+
+(* No fire early, none more than one granule late, none missed. *)
+let timing_contract prefix rows =
+  List.iter
+    (fun r ->
+      let open Eventbench in
+      if r.wr_early <> 0 || r.wr_late <> 0 || r.wr_missed <> 0 then
+        failwith
+          (Printf.sprintf "%s: timing contract broken (early %d late %d missed %d)" prefix
+             r.wr_early r.wr_late r.wr_missed))
+    rows
+
+(* The former eventsmoke gates, on the idle 100 and 10,000 rows: kq
+   dispatch work stays flat while the scan grows, and the wheel keeps its
+   contract at O(due) work. *)
+let kq_gates =
+  let at rows idle = List.find (fun r -> r.Eventbench.kr_idle = idle) rows in
+  Eventbench.
+    [ Row.check "eventsmoke: kq visits grew with idle watches" (fun rows ->
+          (at rows 10_000).kr_kq_visits = (at rows 100).kr_kq_visits);
+      Row.check "eventsmoke: scan strawman implausibly cheap (harness broken?)" (fun rows ->
+          let b = at rows 10_000 in
+          b.kr_scan_visits >= 10 * b.kr_kq_visits) ]
+
+let wheel_gates =
+  let at rows = List.filter (fun r -> r.Eventbench.wr_idle = 10_000) rows in
+  [ (fun rows -> timing_contract "eventsmoke" (at rows));
+    Row.check "eventsmoke: wheel work not O(due)" (fun rows ->
+        List.for_all (fun r -> Eventbench.(r.wr_work < r.wr_scan_visits / 100)) (at rows));
+    timing_contract "event" ]
+
 let event () =
   section_header "Event core: O(ready) dispatch, O(due) timers";
   Printf.printf
     "hot set fixed (%d ready watches / %d due timers), idle population sweeps\n\n"
     Eventbench.hot_set Eventbench.hot_set;
-  Printf.printf "%-10s %14s %14s %12s\n" "idle" "scan visits" "kq visits" "dispatches";
   let krows =
-    List.map
+    Row.table kq_fields
       (fun idle ->
-        let r =
-          Eventbench.kq_sweep ~idle ~hot:Eventbench.hot_set
-            ~rounds:Eventbench.kq_rounds
-        in
-        Printf.printf "%-10d %14d %14d %12d\n" r.Eventbench.kr_idle
-          r.Eventbench.kr_scan_visits r.Eventbench.kr_kq_visits
-          r.Eventbench.kr_dispatches;
-        r)
+        Eventbench.kq_sweep ~idle ~hot:Eventbench.hot_set ~rounds:Eventbench.kq_rounds)
       Eventbench.idle_sweep
   in
-  Printf.printf "\n%-10s %14s %10s %10s %14s\n" "idle" "wheel work" "fires"
-    "cascades" "scan visits";
+  List.iter (fun gate -> gate krows) kq_gates;
+  print_newline ();
   let wrows =
-    List.map
-      (fun idle ->
-        let r = Eventbench.wheel_run ~idle ~hot:Eventbench.hot_set in
-        Printf.printf "%-10d %14d %10d %10d %14d\n" r.Eventbench.wr_idle
-          r.Eventbench.wr_work r.Eventbench.wr_fires r.Eventbench.wr_cascades
-          r.Eventbench.wr_scan_visits;
-        if r.Eventbench.wr_early <> 0 || r.Eventbench.wr_late <> 0
-           || r.Eventbench.wr_missed <> 0
-        then
-          failwith
-            (Printf.sprintf "event: timing contract broken (early %d late %d missed %d)"
-               r.Eventbench.wr_early r.Eventbench.wr_late r.Eventbench.wr_missed);
-        r)
+    Row.table wheel_fields
+      (fun idle -> Eventbench.wheel_run ~idle ~hot:Eventbench.hot_set)
       Eventbench.idle_sweep
   in
+  List.iter (fun gate -> gate wrows) wheel_gates;
   print_endline "\n(timing contract held: no early fires, none > 1 granule late)";
-  write_json "BENCH_event.json" "rows"
-    [ json_str "bench" "event";
-      json_int "hot" Eventbench.hot_set;
-      json_int "kq_rounds" Eventbench.kq_rounds;
-      json_int "wheel_ticks" Eventbench.wheel_window_ticks ]
-    (List.map
-       (fun (r : Eventbench.kq_row) ->
-         json_obj
-           [ json_str "kind" "kqueue";
-             json_int "idle" r.Eventbench.kr_idle;
-             json_int "scan_visits" r.Eventbench.kr_scan_visits;
-             json_int "kq_visits" r.Eventbench.kr_kq_visits;
-             json_int "dispatches" r.Eventbench.kr_dispatches ])
-       krows
-    @ List.map
-        (fun (r : Eventbench.wheel_row) ->
-          json_obj
-            [ json_str "kind" "wheel";
-              json_int "idle" r.Eventbench.wr_idle;
-              json_int "work" r.Eventbench.wr_work;
-              json_int "fires" r.Eventbench.wr_fires;
-              json_int "cascades" r.Eventbench.wr_cascades;
-              json_int "scan_visits" r.Eventbench.wr_scan_visits ])
-        wrows)
+  Row.write_json "BENCH_event.json"
+    Row.[ jstr "bench" "event"; jint "hot" Eventbench.hot_set;
+          jint "kq_rounds" Eventbench.kq_rounds;
+          jint "wheel_ticks" Eventbench.wheel_window_ticks ]
+    (Row.objs kq_fields krows @ Row.objs wheel_fields wrows)
 
 let eventsmoke () =
   section_header "event CI gate";
-  (* 1) dispatch work must not grow with the idle population. *)
-  let a = Eventbench.kq_sweep ~idle:100 ~hot:128 ~rounds:10 in
-  let b = Eventbench.kq_sweep ~idle:10_000 ~hot:128 ~rounds:10 in
-  if b.Eventbench.kr_kq_visits <> a.Eventbench.kr_kq_visits then
-    failwith "eventsmoke: kq visits grew with idle watches";
-  if b.Eventbench.kr_scan_visits < 10 * b.Eventbench.kr_kq_visits then
-    failwith "eventsmoke: scan strawman implausibly cheap (harness broken?)";
-  Printf.printf "kq visits flat at %d as idle grows 100 -> 10000 (scan: %d -> %d)\n"
-    b.Eventbench.kr_kq_visits a.Eventbench.kr_scan_visits
-    b.Eventbench.kr_scan_visits;
-  (* 2) wheel timing contract: zero missed, zero early, <= 1 granule late;
-     and wheel work must stay two orders below the every-tick scan. *)
-  let w = Eventbench.wheel_run ~idle:10_000 ~hot:128 in
-  if w.Eventbench.wr_early <> 0 || w.Eventbench.wr_late <> 0
-     || w.Eventbench.wr_missed <> 0
-  then
-    failwith
-      (Printf.sprintf "eventsmoke: timing contract broken (early %d late %d missed %d)"
-         w.Eventbench.wr_early w.Eventbench.wr_late w.Eventbench.wr_missed);
-  if w.Eventbench.wr_work >= w.Eventbench.wr_scan_visits / 100 then
-    failwith "eventsmoke: wheel work not O(due)";
-  Printf.printf "wheel: %d fires on time, work %d vs scan %d\n" w.Eventbench.wr_fires
-    w.Eventbench.wr_work w.Eventbench.wr_scan_visits;
-  (* 3) full stack with both flags on: the served bytes must be exact. *)
-  let saved_kq = Cost.config.Cost.kq
-  and saved_tw = Cost.config.Cost.timer_wheel in
-  Cost.config.Cost.kq <- true;
-  Cost.config.Cost.timer_wheel <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      Cost.config.Cost.kq <- saved_kq;
-      Cost.config.Cost.timer_wheel <- saved_tw)
-  @@ fun () ->
+  (* A full httpd transfer with both kq and timer_wheel on: the served
+     bytes must be exact. *)
   let r =
-    Httpbench.run ~config:Httpbench.Oskit_com ~mode:Httpbench.Reactor ~clients:64 ()
+    Cost.with_config
+      (fun c ->
+        c.Cost.kq <- true;
+        c.Cost.timer_wheel <- true)
+      (fun () ->
+        Httpbench.run ~config:Rig.Oskit_com ~mode:Rig.Reactor ~clients:64 ())
   in
   if r.Httpbench.r_mismatches <> 0 then
     failwith "eventsmoke: byte mismatch with kq+wheel on";
@@ -1319,108 +1143,91 @@ let eventsmoke () =
          r.Httpbench.r_responses r.Httpbench.r_requests);
   Printf.printf "httpd with kq+timer_wheel: %d/%d responses, all byte-exact\n"
     r.Httpbench.r_responses r.Httpbench.r_requests;
-  print_endline "\nflat O(ready) dispatch; wheel contract exact; kq+wheel httpd byte-exact"
+  print_endline "\nkq+wheel httpd byte-exact"
 
 (* ---------------- file: the keep-alive + sendfile content path ---------------- *)
 
-let file_header () =
-  Printf.printf "%-8s %-8s %-14s %6s %7s %6s %8s %10s %9s %9s %8s %8s %6s\n%!"
-    "stack" "mode" "knobs" "files" "fbytes" "reqs" "req/s" "copied/req" "sf-bodies"
-    "fallback" "bc-hit" "bc-miss" "bad"
+let file_json, file_table =
+  let open Filebench in
+  let stack = Row.str "stack" ~t:("%-8s", "stack") (fun r -> Rig.config_name r.r_config)
+  and mode = Row.str "mode" ~t:("%-8s", "mode") (fun r -> Rig.mode_name r.r_mode)
+  and files = Row.int "files" ~t:("%6d", "files") (fun r -> r.r_files)
+  and file_bytes = Row.int "file_bytes" ~t:("%7d", "fbytes") (fun r -> r.r_file_bytes)
+  and requests = Row.int "requests" ~t:("%6d", "reqs") (fun r -> r.r_requests)
+  and rps = Row.float "rps" ~t:("%8.0f", "req/s") (fun r -> r.r_rps)
+  and copied =
+    Row.float "copied_per_req" ~t:("%10.1f", "copied/req") (fun r -> r.r_copied_per_req)
+  and sf_bodies =
+    Row.int "sendfile_bodies" ~t:("%9d", "sf-bodies") (fun r -> r.r_sendfile_bodies)
+  and fallbacks =
+    Row.int "sendfile_fallbacks" ~t:("%9d", "fallback") (fun r -> r.r_sendfile_fallbacks)
+  and bc_hits = Row.int "bufcache_hits" ~t:("%8d", "bc-hit") (fun r -> r.r_bufcache_hits)
+  and bc_misses =
+    Row.int "bufcache_misses" ~t:("%8d", "bc-miss") (fun r -> r.r_bufcache_misses)
+  in
+  ( Row.
+      [ stack; mode;
+        str "knobs" (fun r -> knobs_name r.r_knobs);
+        int "clients" (fun r -> r.r_clients);
+        int "pipeline" (fun r -> r.r_pipeline);
+        requests; files; file_bytes;
+        float "duration_ms" (fun r -> r.r_duration_ms);
+        rps;
+        int "responses" (fun r -> r.r_responses);
+        int "reused" (fun r -> r.r_reused);
+        int "pipelined" (fun r -> r.r_pipelined);
+        int "idle_closed" (fun r -> r.r_idle_closed);
+        int "capped" (fun r -> r.r_capped);
+        int "accepted" (fun r -> r.r_accepted);
+        sf_bodies; fallbacks;
+        int "body_bytes_copied" (fun r -> r.r_body_bytes_copied);
+        copied; bc_hits; bc_misses;
+        int "protocol_errors" (fun r -> r.r_protocol_errors);
+        int "mismatches" (fun r -> r.r_mismatches) ],
+    Row.
+      [ stack; mode;
+        show "%-14s" "knobs" (fun r ->
+            knobs_name r.r_knobs
+            ^ if r.r_pipeline > 1 then Printf.sprintf "+p%d" r.r_pipeline else "");
+        files; file_bytes; requests; rps; copied; sf_bodies; fallbacks; bc_hits; bc_misses;
+        show "%6d" "bad" (fun r -> r.r_mismatches + r.r_protocol_errors) ] )
 
-let file_row (r : Filebench.result) =
-  Printf.printf "%-8s %-8s %-14s %6d %7d %6d %8.0f %10.1f %9d %9d %8d %8d %6d\n%!"
-    (Filebench.config_name r.Filebench.r_config)
-    (Filebench.mode_name r.Filebench.r_mode)
-    (Filebench.knobs_name r.Filebench.r_knobs
-    ^ if r.Filebench.r_pipeline > 1 then Printf.sprintf "+p%d" r.Filebench.r_pipeline
-      else "")
-    r.Filebench.r_files r.Filebench.r_file_bytes r.Filebench.r_requests
-    r.Filebench.r_rps r.Filebench.r_copied_per_req r.Filebench.r_sendfile_bodies
-    r.Filebench.r_sendfile_fallbacks r.Filebench.r_bufcache_hits
-    r.Filebench.r_bufcache_misses
-    (r.Filebench.r_mismatches + r.Filebench.r_protocol_errors)
-
-let file_check (r : Filebench.result) =
-  if r.Filebench.r_mismatches > 0 then
-    failwith "file: response was not byte-exact";
-  if r.Filebench.r_protocol_errors > 0 then failwith "file: protocol errors";
-  if r.Filebench.r_responses < r.Filebench.r_requests then
-    failwith "file: not every request got a 200"
-
-let file_json_row (r : Filebench.result) =
-  json_obj
-    [ json_str "stack" (Filebench.config_name r.Filebench.r_config);
-      json_str "mode" (Filebench.mode_name r.Filebench.r_mode);
-      json_str "knobs" (Filebench.knobs_name r.Filebench.r_knobs);
-      json_int "clients" r.Filebench.r_clients;
-      json_int "pipeline" r.Filebench.r_pipeline;
-      json_int "requests" r.Filebench.r_requests;
-      json_int "files" r.Filebench.r_files;
-      json_int "file_bytes" r.Filebench.r_file_bytes;
-      json_float "duration_ms" r.Filebench.r_duration_ms;
-      json_float "rps" r.Filebench.r_rps;
-      json_int "responses" r.Filebench.r_responses;
-      json_int "reused" r.Filebench.r_reused;
-      json_int "pipelined" r.Filebench.r_pipelined;
-      json_int "idle_closed" r.Filebench.r_idle_closed;
-      json_int "capped" r.Filebench.r_capped;
-      json_int "accepted" r.Filebench.r_accepted;
-      json_int "sendfile_bodies" r.Filebench.r_sendfile_bodies;
-      json_int "sendfile_fallbacks" r.Filebench.r_sendfile_fallbacks;
-      json_int "body_bytes_copied" r.Filebench.r_body_bytes_copied;
-      json_float "copied_per_req" r.Filebench.r_copied_per_req;
-      json_int "bufcache_hits" r.Filebench.r_bufcache_hits;
-      json_int "bufcache_misses" r.Filebench.r_bufcache_misses;
-      json_int "protocol_errors" r.Filebench.r_protocol_errors;
-      json_int "mismatches" r.Filebench.r_mismatches ]
+let file_checks =
+  Filebench.
+    [ Row.each "file: response was not byte-exact" (fun r -> r.r_mismatches = 0);
+      Row.each "file: protocol errors" (fun r -> r.r_protocol_errors = 0);
+      Row.each "file: not every request got a 200" (fun r -> r.r_responses >= r.r_requests) ]
 
 let file () =
   section_header
     "FILE: HTTP/1.1 keep-alive + sendfile content path (req/s, body copies/request)";
-  file_header ();
-  let cell ?(config = Filebench.Freebsd_com) ?(mode = Filebench.Reactor)
-      ?(clients = 16) ?(reqs = 125) ?(files = 16) ?(file_bytes = 4096)
-      ?(pipeline = 1) knobs =
-    let r =
-      Filebench.run ~config ~mode ~knobs ~pipeline ~clients ~reqs_per_client:reqs
-        ~files ~file_bytes ()
-    in
-    file_row r;
-    file_check r;
-    r
+  Row.header file_table;
+  let cell ?(config = Rig.Freebsd_com) ?(mode = Rig.Reactor) ?(clients = 16) ?(reqs = 125)
+      ?(files = 16) ?(file_bytes = 4096) ?(pipeline = 1) knobs =
+    Row.row ~checks:file_checks file_table
+      (Filebench.run ~config ~mode ~knobs ~pipeline ~clients ~reqs_per_client:reqs ~files
+         ~file_bytes ())
   in
   (* The knob matrix: both stacks (plus the OSKit glue shape), both
      serving shapes, all three knob sets, 2000 requests per cell on the
      small (in-cache) working set. *)
   let matrix =
-    List.concat_map
-      (fun config ->
-        List.concat_map
-          (fun mode ->
-            List.map
-              (fun knobs -> cell ~config ~mode knobs)
-              [ Filebench.http10; Filebench.keepalive; Filebench.ka_sendfile ])
-          [ Filebench.Reactor; Filebench.Threads ])
-      [ Filebench.Freebsd_com; Filebench.Linux_com; Filebench.Oskit_com ]
+    List.map
+      (fun (config, (mode, knobs)) -> cell ~config ~mode knobs)
+      Row.([ Rig.Freebsd_com; Rig.Linux_com; Rig.Oskit_com ]
+           *** [ Rig.Reactor; Rig.Threads ]
+           *** Filebench.[ http10; keepalive; ka_sendfile ])
   in
   (* Working set larger than the 64-block cache: eviction under load. *)
   print_newline ();
-  let thrash =
-    List.map
-      (fun knobs -> cell ~files:128 knobs)
-      [ Filebench.keepalive; Filebench.ka_sendfile ]
-  in
+  let thrash = List.map (cell ~files:128) Filebench.[ keepalive; ka_sendfile ] in
   (* Body-size sweep: the copy path scales linearly with the body, the
      warm sendfile path stays at zero copied bytes per request. *)
   print_newline ();
   let sweep =
-    List.concat_map
-      (fun file_bytes ->
-        List.map
-          (fun knobs -> cell ~files:4 ~reqs:63 ~file_bytes knobs)
-          [ Filebench.keepalive; Filebench.ka_sendfile ])
-      [ 1024; 4096; 16384; 65536 ]
+    List.map
+      (fun (file_bytes, knobs) -> cell ~files:4 ~reqs:63 ~file_bytes knobs)
+      Row.([ 1024; 4096; 16384; 65536 ] *** Filebench.[ keepalive; ka_sendfile ])
   in
   (* Headline scale: 10k requests over reused connections vs 10k fresh
      connections, FreeBSD reactor, on the small-object workload (1 KB —
@@ -1428,20 +1235,17 @@ let file () =
      dominant per-request cost.  The reused-connection rows run both
      serial (depth 1) and pipelined (depth 8, the server's parse-ahead
      bound): pipelining is where persistent connections stop paying a
-     per-request round trip, so the headline ratio is depth 8. *)
+     per-request round trip, so the headline ratio is depth 8.  The cells
+     run and print in this order; the JSON lists them by knobs, then
+     depth. *)
   print_newline ();
   let scale =
-    cell ~clients:16 ~reqs:625 ~file_bytes:1024 Filebench.http10
-    :: List.concat_map
-         (fun knobs ->
-           [ cell ~clients:16 ~reqs:625 ~file_bytes:1024 knobs;
-             cell ~clients:16 ~reqs:625 ~file_bytes:1024 ~pipeline:8 knobs ])
-         [ Filebench.keepalive; Filebench.ka_sendfile ]
+    List.map
+      (fun (knobs, pipeline) -> cell ~clients:16 ~reqs:625 ~file_bytes:1024 ~pipeline knobs)
+      Filebench.[ keepalive, 8; keepalive, 1; ka_sendfile, 8; ka_sendfile, 1; http10, 1 ]
   in
   let rps k p =
-    (List.find
-       (fun r -> r.Filebench.r_knobs = k && r.Filebench.r_pipeline = p)
-       scale)
+    (List.find (fun r -> r.Filebench.r_knobs = k && r.Filebench.r_pipeline = p) scale)
       .Filebench.r_rps
   in
   Printf.printf
@@ -1456,33 +1260,34 @@ let file () =
   if rps Filebench.ka_sendfile 8 < 3.0 *. rps Filebench.http10 1 then
     failwith
       "file: keep-alive+sendfile pipelined under 3x close-per-request at 10k requests";
-  List.iter
+  Row.each "file: warm sendfile run copied body bytes"
     (fun r ->
-      if r.Filebench.r_knobs = Filebench.ka_sendfile
-         && r.Filebench.r_config <> Filebench.Linux_com
-         && r.Filebench.r_body_bytes_copied <> 0
-      then failwith "file: warm sendfile run copied body bytes")
+      r.Filebench.r_knobs <> Filebench.ka_sendfile
+      || r.Filebench.r_config = Rig.Linux_com
+      || r.Filebench.r_body_bytes_copied = 0)
     (matrix @ sweep @ scale);
   print_endline "\nLinux rows under ka+sendfile show the counted copy fallback: no sendv";
   print_endline "face on contiguous sk_buffs (Section 5's asymmetry at the app layer)";
-  write_json "BENCH_file.json" "rows"
-    [ json_str "bench" "file"; json_int "bufcache_blocks" 64;
-      json_str "unit" "req/s" ]
-    (List.map file_json_row (matrix @ thrash @ sweep @ scale))
+  Row.write_json "BENCH_file.json"
+    Row.[ jstr "bench" "file"; jint "bufcache_blocks" 64; jstr "unit" "req/s" ]
+    (Row.objs file_json
+       (matrix @ thrash @ sweep
+       @ List.sort
+           (fun a b ->
+             compare
+               (a.Filebench.r_knobs, a.Filebench.r_pipeline)
+               (b.Filebench.r_knobs, b.Filebench.r_pipeline))
+           scale))
 
 (* ---------------- filesmoke: CI gate for the content path ---------------- *)
 
 let filesmoke () =
   section_header "FILE smoke: keep-alive win, zero warm-cache copies, byte-exact";
-  file_header ();
-  let run ?(config = Filebench.Freebsd_com) ?(mode = Filebench.Reactor) knobs =
-    let r =
-      Filebench.run ~config ~mode ~knobs ~clients:64 ~reqs_per_client:4 ~files:16
-        ~file_bytes:4096 ()
-    in
-    file_row r;
-    file_check r;
-    r
+  Row.header file_table;
+  let run ?(config = Rig.Freebsd_com) ?(mode = Rig.Reactor) knobs =
+    Row.row ~checks:file_checks file_table
+      (Filebench.run ~config ~mode ~knobs ~clients:64 ~reqs_per_client:4 ~files:16
+         ~file_bytes:4096 ())
   in
   (* 1) keep-alive must beat close-per-request at 64 clients. *)
   let th10 = run Filebench.http10 in
@@ -1498,9 +1303,9 @@ let filesmoke () =
   if sf.Filebench.r_sendfile_bodies < sf.Filebench.r_requests then
     failwith "filesmoke: not every 200 went through the mapped path";
   (* 3) the threaded shape serves the same bytes. *)
-  ignore (run ~mode:Filebench.Threads Filebench.ka_sendfile);
+  ignore (run ~mode:Rig.Threads Filebench.ka_sendfile);
   (* 4) Linux: no sendv face, so the counted fallback must carry it. *)
-  let lx = run ~config:Filebench.Linux_com Filebench.ka_sendfile in
+  let lx = run ~config:Rig.Linux_com Filebench.ka_sendfile in
   if lx.Filebench.r_sendfile_fallbacks = 0 || lx.Filebench.r_body_bytes_copied = 0
   then failwith "filesmoke: Linux fallback not counted";
   print_endline
@@ -1521,39 +1326,25 @@ let sections =
     "sgsmoke", sgsmoke;
     "rtt", rtt;
     "http", http;
-    "httpsmoke", httpsmoke;
     "rttsmoke", rttsmoke;
     "longfat", longfat;
     "longfatsmoke", longfatsmoke;
     "overload", overload;
-    "overloadsmoke", overloadsmoke;
     "smp", smp;
-    "smpsmoke", smpsmoke;
     "event", event;
     "eventsmoke", eventsmoke;
     "file", file;
     "filesmoke", filesmoke ]
 
 (* Every argument is checked before anything runs: a misspelled section
-   or flag exits 2 instead of silently testing nothing. *)
+   exits 2 instead of silently testing nothing. *)
 let () =
-  let names =
-    List.filter
-      (function
-        | "--sg" ->
-            want_sg := true;
-            false
-        | "--json" ->
-            want_json := true;
-            false
-        | _ -> true)
-      (List.tl (Array.to_list Sys.argv))
-  in
+  let names = List.tl (Array.to_list Sys.argv) in
   (match List.filter (fun n -> not (List.mem_assoc n sections)) names with
   | [] -> ()
   | bad ->
-      List.iter (fun n -> Printf.eprintf "unknown section or flag %S\n" n) bad;
-      Printf.eprintf "usage: main.exe [--sg] [--json] [section ...]\nsections: %s\n"
+      List.iter (fun n -> Printf.eprintf "unknown section %S\n" n) bad;
+      Printf.eprintf "usage: main.exe [section ...]\nsections: %s\n"
         (String.concat " " (List.map fst sections));
       exit 2);
   let requested = match names with [] -> List.map fst sections | ns -> ns in

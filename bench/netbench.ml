@@ -7,13 +7,6 @@ type config = Oskit | Freebsd | Linux
 
 let config_name = function Oskit -> "OSKit" | Freebsd -> "FreeBSD" | Linux -> "Linux"
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("netbench: " ^ Error.to_string e)
-
 (* A role-neutral socket bundle: blocking send/recv/close over whichever
    stack the configuration dictates. *)
 type sock = {
@@ -49,56 +42,56 @@ let linux_stats (stack : Linux_inet.stack) =
 let setup config host ~addr =
   match config with
   | Oskit ->
-      let env, stack = Clientos.oskit_host host ~ip:addr ~mask in
+      let env, stack = Clientos.oskit_host host ~ip:addr ~mask:Rig.mask in
       let serve ~port k =
         Clientos.spawn host ~name:"server" (fun () ->
-            let fd = ok (Posix.socket env Io_if.Sock_stream) in
-            ok (Posix.bind env fd { Io_if.sin_addr = addr; sin_port = port });
-            ok (Posix.listen env fd ~backlog:2);
-            let conn, _ = ok (Posix.accept env fd) in
+            let fd = Rig.ok (Posix.socket env Io_if.Sock_stream) in
+            Rig.ok (Posix.bind env fd { Io_if.sin_addr = addr; sin_port = port });
+            Rig.ok (Posix.listen env fd ~backlog:2);
+            let conn, _ = Rig.ok (Posix.accept env fd) in
             k
-              { send = (fun b len -> ok (Posix.send env conn b ~pos:0 ~len));
-                recv = (fun b len -> ok (Posix.recv env conn b ~pos:0 ~len));
+              { send = (fun b len -> Rig.ok (Posix.send env conn b ~pos:0 ~len));
+                recv = (fun b len -> Rig.ok (Posix.recv env conn b ~pos:0 ~len));
                 close = (fun () -> ignore (Posix.close env conn)) })
       in
       let connect ~dst ~port k =
         Clientos.spawn host ~name:"client" (fun () ->
             Kclock.sleep_ns 2_000_000;
-            let fd = ok (Posix.socket env Io_if.Sock_stream) in
-            ok (Posix.connect env fd { Io_if.sin_addr = dst; sin_port = port });
+            let fd = Rig.ok (Posix.socket env Io_if.Sock_stream) in
+            Rig.ok (Posix.connect env fd { Io_if.sin_addr = dst; sin_port = port });
             k
-              { send = (fun b len -> ok (Posix.send env fd b ~pos:0 ~len));
-                recv = (fun b len -> ok (Posix.recv env fd b ~pos:0 ~len));
+              { send = (fun b len -> Rig.ok (Posix.send env fd b ~pos:0 ~len));
+                recv = (fun b len -> Rig.ok (Posix.recv env fd b ~pos:0 ~len));
                 close = (fun () -> ignore (Posix.shutdown env fd)) })
       in
       serve, connect, bsd_stats stack
   | Freebsd ->
-      let stack = Clientos.freebsd_host host ~ip:addr ~mask in
+      let stack = Clientos.freebsd_host host ~ip:addr ~mask:Rig.mask in
       let of_tsock s =
-        { send = (fun b len -> ok (Bsd_socket.so_send s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> ok (Bsd_socket.so_recv s ~buf:b ~pos:0 ~len));
+        { send = (fun b len -> Rig.ok (Bsd_socket.so_send s ~buf:b ~pos:0 ~len));
+          recv = (fun b len -> Rig.ok (Bsd_socket.so_recv s ~buf:b ~pos:0 ~len));
           close = (fun () -> ignore (Bsd_socket.so_close s)) }
       in
       let serve ~port k =
         Clientos.spawn host ~name:"server" (fun () ->
             let ls = Bsd_socket.tcp_socket stack in
-            ok (Bsd_socket.so_bind ls ~port);
-            ok (Bsd_socket.so_listen ls ~backlog:2);
-            k (of_tsock (ok (Bsd_socket.so_accept ls))))
+            Rig.ok (Bsd_socket.so_bind ls ~port);
+            Rig.ok (Bsd_socket.so_listen ls ~backlog:2);
+            k (of_tsock (Rig.ok (Bsd_socket.so_accept ls))))
       in
       let connect ~dst ~port k =
         Clientos.spawn host ~name:"client" (fun () ->
             Kclock.sleep_ns 2_000_000;
             let s = Bsd_socket.tcp_socket stack in
-            ok (Bsd_socket.so_connect s ~dst ~dport:port);
+            Rig.ok (Bsd_socket.so_connect s ~dst ~dport:port);
             k (of_tsock s))
       in
       serve, connect, bsd_stats stack
   | Linux ->
-      let stack = Clientos.linux_host host ~ip:addr ~mask in
+      let stack = Clientos.linux_host host ~ip:addr ~mask:Rig.mask in
       let of_sock s =
-        { send = (fun b len -> ok (Linux_inet.send stack s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> ok (Linux_inet.recv stack s ~buf:b ~pos:0 ~len));
+        { send = (fun b len -> Rig.ok (Linux_inet.send stack s ~buf:b ~pos:0 ~len));
+          recv = (fun b len -> Rig.ok (Linux_inet.recv stack s ~buf:b ~pos:0 ~len));
           close = (fun () -> Linux_inet.close stack s) }
       in
       let serve ~port k =
@@ -106,13 +99,13 @@ let setup config host ~addr =
             let ls = Linux_inet.socket stack in
             Linux_inet.bind stack ls ~port;
             Linux_inet.listen stack ls ~backlog:2;
-            k (of_sock (ok (Linux_inet.accept stack ls))))
+            k (of_sock (Rig.ok (Linux_inet.accept stack ls))))
       in
       let connect ~dst ~port k =
         Clientos.spawn host ~name:"client" (fun () ->
             Kclock.sleep_ns 2_000_000;
             let s = Linux_inet.socket stack in
-            ok (Linux_inet.connect stack s ~dst ~dport:port);
+            Rig.ok (Linux_inet.connect stack s ~dst ~dport:port);
             k (of_sock s))
       in
       serve, connect, linux_stats stack
@@ -132,13 +125,11 @@ type transfer_result = {
    the scatter-gather transmit path at the mbuf->skbuff glue (default off:
    the paper's measured configuration flattens chains there). *)
 let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
-  Clientos.reset_globals ();
-  Cost.config.Cost.sg_tx <- sg;
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+  Cost.with_config (fun c -> c.Cost.sg_tx <- sg) @@ fun () ->
+  let tb = Rig.testbed () in
   let total = blocks * blocksize in
-  let serve, _, _ = setup receiver tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, _ = setup sender tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let serve, _, _ = setup receiver tb.Clientos.host_b ~addr:Rig.server_ip in
+  let _, connect, _ = setup sender tb.Clientos.host_a ~addr:Rig.client_ip in
   let send_ns = ref 0 and recv_done = ref 0 in
   serve ~port:5001 (fun s ->
       let buf = Bytes.create 16384 in
@@ -150,7 +141,7 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
         | _ -> loop ()
       in
       loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:5001 (fun s ->
+  connect ~dst:Rig.server_ip ~port:5001 (fun s ->
       let block = Bytes.make blocksize 'T' in
       let t0 = Machine.now tb.Clientos.host_a.Clientos.machine in
       for _ = 1 to blocks do
@@ -161,7 +152,6 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
   Cost.reset_counters ();
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
   let packets = Wire.frames_carried tb.Clientos.wire in
-  Cost.config.Cost.sg_tx <- false;
   { mbit_sender = float_of_int total *. 8e3 /. float_of_int !send_ns;
     mbit_e2e = float_of_int total *. 8e3 /. float_of_int !recv_done;
     copies_per_kpkt = Cost.counters.Cost.copies * 1000 / max 1 packets;
@@ -171,47 +161,12 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
     linearized_xmits = Cost.counters.Cost.linearized_xmits;
     checksummed_bytes = Cost.counters.Cost.checksummed_bytes }
 
-(* rtcp: 1-byte round trips, both sides in [config]. *)
-let rtt_us config ~trips =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let serve, _, _ = setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, _ = setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-  let result = ref 0.0 in
-  serve ~port:5002 (fun s ->
-      let buf = Bytes.create 1 in
-      let rec loop () =
-        match s.recv buf 1 with
-        | 0 -> s.close ()
-        | _ ->
-            ignore (s.send buf 1);
-            loop ()
-      in
-      loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:5002 (fun s ->
-      let one = Bytes.make 1 'R' in
-      let buf = Bytes.create 1 in
-      ignore (s.send one 1);
-      ignore (s.recv buf 1);
-      let t0 = Machine.now tb.Clientos.host_a.Clientos.machine in
-      for _ = 1 to trips do
-        ignore (s.send one 1);
-        ignore (s.recv buf 1)
-      done;
-      result :=
-        float_of_int (Machine.now tb.Clientos.host_a.Clientos.machine - t0)
-        /. float_of_int trips /. 1e3;
-      s.close ());
-  Clientos.run tb ~until:(fun () -> !result > 0.0);
-  !result
-
-(* rtcp again, but keeping the whole per-trip distribution and the receive
-   fast-path counters.  [fastpath] turns on all three receive-side layers at
-   once (header prediction, hashed PCB demux, batched RX) — default off, so
-   the plain Table 2 run above stays the paper's measured configuration.
-   The per-trip [Machine.now] reads charge nothing, so the mean here agrees
-   with [rtt_us] on the same flags. *)
+(* rtcp: 1-byte round trips, both sides in [config], keeping the whole
+   per-trip distribution and the receive fast-path counters.  [fastpath]
+   turns on all three receive-side layers at once (header prediction,
+   hashed PCB demux, batched RX) — default off, the paper's measured
+   configuration.  The per-trip [Machine.now] reads charge nothing, so
+   the mean is the loop's total time over [trips]: Table 2's number. *)
 type rtt_dist = {
   rtt_mean_us : float;
   rtt_p50_us : float;
@@ -226,14 +181,14 @@ type rtt_dist = {
 }
 
 let dist ?(fastpath = false) config ~trips =
-  Clientos.reset_globals ();
-  Cost.config.Cost.tcp_fastpath <- fastpath;
-  Cost.config.Cost.pcb_hash <- fastpath;
-  Cost.config.Cost.rx_batch <- (if fastpath then 8 else 1);
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let serve, _, _ = setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, _ = setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  Cost.with_config (fun c ->
+      c.Cost.tcp_fastpath <- fastpath;
+      c.Cost.pcb_hash <- fastpath;
+      c.Cost.rx_batch <- (if fastpath then 8 else 1))
+  @@ fun () ->
+  let tb = Rig.testbed () in
+  let serve, _, _ = setup config tb.Clientos.host_b ~addr:Rig.server_ip in
+  let _, connect, _ = setup config tb.Clientos.host_a ~addr:Rig.client_ip in
   let samples = Array.make (max 1 trips) 0 in
   let finished = ref false in
   serve ~port:5002 (fun s ->
@@ -246,7 +201,7 @@ let dist ?(fastpath = false) config ~trips =
             loop ()
       in
       loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:5002 (fun s ->
+  connect ~dst:Rig.server_ip ~port:5002 (fun s ->
       let one = Bytes.make 1 'R' in
       let buf = Bytes.create 1 in
       ignore (s.send one 1);
@@ -261,9 +216,6 @@ let dist ?(fastpath = false) config ~trips =
       finished := true;
       s.close ());
   Clientos.run tb ~until:(fun () -> !finished);
-  Cost.config.Cost.tcp_fastpath <- false;
-  Cost.config.Cost.pcb_hash <- false;
-  Cost.config.Cost.rx_batch <- 1;
   let sorted = Array.copy samples in
   Array.sort compare sorted;
   let n = Array.length sorted in
@@ -285,12 +237,10 @@ let dist ?(fastpath = false) config ~trips =
    OSKit configuration.  The VM program loops sys_recv (or sys_send); the
    other side is a native FreeBSD peer. *)
 let vm_throughput ~direction ~bytes =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+  let tb = Rig.testbed () in
   let vm_host = tb.Clientos.host_a and peer = tb.Clientos.host_b in
-  let env, _ = Clientos.oskit_host vm_host ~ip:(ip "10.0.0.1") ~mask in
-  let stack = Clientos.freebsd_host peer ~ip:(ip "10.0.0.2") ~mask in
+  let env, _ = Clientos.oskit_host vm_host ~ip:Rig.client_ip ~mask:Rig.mask in
+  let stack = Clientos.freebsd_host peer ~ip:Rig.server_ip ~mask:Rig.mask in
   let finished_ns = ref 0 in
   let chunk = 8192 in
   (* VM program: loop { n = sys(recv/send)(heap 8192, 8192); global1 += n;
@@ -311,16 +261,16 @@ let vm_throughput ~direction ~bytes =
   (* Peer: FreeBSD-native source or sink. *)
   Clientos.spawn peer ~name:"peer" (fun () ->
       let ls = Bsd_socket.tcp_socket stack in
-      ok (Bsd_socket.so_bind ls ~port:5003);
-      ok (Bsd_socket.so_listen ls ~backlog:1);
-      let conn = ok (Bsd_socket.so_accept ls) in
+      Rig.ok (Bsd_socket.so_bind ls ~port:5003);
+      Rig.ok (Bsd_socket.so_listen ls ~backlog:1);
+      let conn = Rig.ok (Bsd_socket.so_accept ls) in
       let buf = Bytes.make chunk 'V' in
       (match direction with
       | `Receive ->
           (* Peer sends [bytes] to the VM. *)
           let rec push sent =
             if sent < bytes then begin
-              let n = ok (Bsd_socket.so_send conn ~buf ~pos:0 ~len:(min chunk (bytes - sent))) in
+              let n = Rig.ok (Bsd_socket.so_send conn ~buf ~pos:0 ~len:(min chunk (bytes - sent))) in
               push (sent + n)
             end
           in
@@ -328,15 +278,15 @@ let vm_throughput ~direction ~bytes =
           ignore (Bsd_socket.so_close conn)
       | `Send ->
           let rec sink () =
-            match ok (Bsd_socket.so_recv conn ~buf ~pos:0 ~len:chunk) with
+            match Rig.ok (Bsd_socket.so_recv conn ~buf ~pos:0 ~len:chunk) with
             | 0 -> ()
             | _ -> sink ()
           in
           sink ()));
   Clientos.spawn vm_host ~name:"vm" (fun () ->
       Kclock.sleep_ns 2_000_000;
-      let fd = ok (Posix.socket env Io_if.Sock_stream) in
-      ok (Posix.connect env fd { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 5003 });
+      let fd = Rig.ok (Posix.socket env Io_if.Sock_stream) in
+      Rig.ok (Posix.connect env fd { Io_if.sin_addr = Rig.server_ip; sin_port = 5003 });
       let bindings =
         { Vm.putc = (fun _ -> ());
           send =
@@ -383,10 +333,8 @@ type chaos_result = {
 let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
     ?(corrupt_min_len = 0) ?(duplicate = 0.0) ?(sg = false) ~sender ~receiver
     ~blocks ~blocksize () =
-  Clientos.reset_globals ();
-  Cost.config.Cost.sg_tx <- sg;
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+  Cost.with_config (fun c -> c.Cost.sg_tx <- sg) @@ fun () ->
+  let tb = Rig.testbed () in
   let em =
     Netem.create ~seed
       ~policy:{ Netem.default_policy with loss; corrupt; corrupt_min_len; duplicate }
@@ -394,8 +342,8 @@ let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
   in
   Wire.set_netem tb.Clientos.wire (Some em);
   let total = blocks * blocksize in
-  let serve, _, rstats = setup receiver tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, sstats = setup sender tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let serve, _, rstats = setup receiver tb.Clientos.host_b ~addr:Rig.server_ip in
+  let _, connect, sstats = setup sender tb.Clientos.host_a ~addr:Rig.client_ip in
   let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
   serve ~port:5004 (fun s ->
       let buf = Bytes.create 16384 in
@@ -413,7 +361,7 @@ let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
             loop ()
       in
       loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:5004 (fun s ->
+  connect ~dst:Rig.server_ip ~port:5004 (fun s ->
       let block = Bytes.create blocksize in
       for b = 0 to blocks - 1 do
         for i = 0 to blocksize - 1 do
@@ -423,7 +371,6 @@ let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
       done;
       s.close ());
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  Cost.config.Cost.sg_tx <- false;
   if !recv_done = 0 then failwith "chaos: transfer did not complete";
   { goodput_mbit = float_of_int total *. 8e3 /. float_of_int !recv_done;
     chaos_rexmits = sstats.rexmits ();
@@ -452,20 +399,15 @@ type longfat_result = {
 
 let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
     () =
-  Clientos.reset_globals ();
-  let saved_ws = Cost.config.Cost.tcp_wscale in
-  let saved_at = Cost.config.Cost.tcp_autotune in
-  (match bufmode with
-  | Lf_default -> ()
-  | Lf_manual -> Cost.config.Cost.tcp_wscale <- true
-  | Lf_autotune ->
-      Cost.config.Cost.tcp_wscale <- true;
-      Cost.config.Cost.tcp_autotune <- true);
-  Fdev.clear_drivers ();
-  let tb =
-    Clientos.make_testbed ~models:("3c905", "tulip")
-      ~latency_ns:(max 1_000 (rtt_ns / 2)) ()
-  in
+  Cost.with_config (fun c ->
+      match bufmode with
+      | Lf_default -> ()
+      | Lf_manual -> c.Cost.tcp_wscale <- true
+      | Lf_autotune ->
+          c.Cost.tcp_wscale <- true;
+          c.Cost.tcp_autotune <- true)
+  @@ fun () ->
+  let tb = Rig.testbed ~latency_ns:(max 1_000 (rtt_ns / 2)) () in
   if loss > 0.0 then begin
     let em = Netem.create ~seed ~policy:{ Netem.default_policy with loss } () in
     Wire.set_netem tb.Clientos.wire (Some em)
@@ -489,13 +431,13 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
   let blocksize = 16384 in
   (match config with
   | Oskit | Freebsd ->
-      let stack_b = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-      let stack_a = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
+      let stack_b = Clientos.freebsd_host tb.Clientos.host_b ~ip:Rig.server_ip ~mask:Rig.mask in
+      let stack_a = Clientos.freebsd_host tb.Clientos.host_a ~ip:Rig.client_ip ~mask:Rig.mask in
       Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
           let ls = Bsd_socket.tcp_socket stack_b in
-          ok (Bsd_socket.so_bind ls ~port:5005);
-          ok (Bsd_socket.so_listen ls ~backlog:2);
-          let c = ok (Bsd_socket.so_accept ls) in
+          Rig.ok (Bsd_socket.so_bind ls ~port:5005);
+          Rig.ok (Bsd_socket.so_listen ls ~backlog:2);
+          let c = Rig.ok (Bsd_socket.so_accept ls) in
           (match manual with
           | Some b ->
               Tcp.set_buffer_sizes c.Bsd_socket.pcb
@@ -503,7 +445,7 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
           | None -> ());
           let buf = Bytes.create blocksize in
           let rec loop () =
-            match ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:blocksize) with
+            match Rig.ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:blocksize) with
             | 0 ->
                 final_rcv_buf := c.Bsd_socket.pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat;
                 recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
@@ -521,7 +463,7 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
               Tcp.set_buffer_sizes s.Bsd_socket.pcb ~snd:b
                 ~rcv:s.Bsd_socket.pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat
           | None -> ());
-          ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:5005);
+          Rig.ok (Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:5005);
           let block = Bytes.create blocksize in
           let rec push sent =
             if sent < bytes then begin
@@ -529,7 +471,7 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
               for i = 0 to n - 1 do
                 Bytes.set block i (Char.chr (pattern (sent + i)))
               done;
-              if ok (Bsd_socket.so_send s ~buf:block ~pos:0 ~len:n) <> n then
+              if Rig.ok (Bsd_socket.so_send s ~buf:block ~pos:0 ~len:n) <> n then
                 failwith "longfat: short send";
               push (sent + n)
             end
@@ -540,17 +482,17 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
             + stack_a.Bsd_socket.tcp.Tcp.stats.Tcp.fastrexmit;
           ignore (Bsd_socket.so_close s))
   | Linux ->
-      let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-      let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
+      let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:Rig.server_ip ~mask:Rig.mask in
+      let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:Rig.client_ip ~mask:Rig.mask in
       Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
           let ls = Linux_inet.socket stack_b in
           Linux_inet.bind stack_b ls ~port:5005;
           Linux_inet.listen stack_b ls ~backlog:2;
-          let c = ok (Linux_inet.accept stack_b ls) in
+          let c = Rig.ok (Linux_inet.accept stack_b ls) in
           (match manual with Some b -> c.Linux_inet.rcv_buf_max <- b | None -> ());
           let buf = Bytes.create blocksize in
           let rec loop () =
-            match ok (Linux_inet.recv stack_b c ~buf ~pos:0 ~len:blocksize) with
+            match Rig.ok (Linux_inet.recv stack_b c ~buf ~pos:0 ~len:blocksize) with
             | 0 ->
                 final_rcv_buf := c.Linux_inet.rcv_buf_max;
                 recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
@@ -563,7 +505,7 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
       Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
           Kclock.sleep_ns 2_000_000;
           let s = Linux_inet.socket stack_a in
-          ok (Linux_inet.connect stack_a s ~dst:(ip "10.0.0.2") ~dport:5005);
+          Rig.ok (Linux_inet.connect stack_a s ~dst:Rig.server_ip ~dport:5005);
           let block = Bytes.create blocksize in
           let rec push sent =
             if sent < bytes then begin
@@ -571,7 +513,7 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
               for i = 0 to n - 1 do
                 Bytes.set block i (Char.chr (pattern (sent + i)))
               done;
-              if ok (Linux_inet.send stack_a s ~buf:block ~pos:0 ~len:n) <> n then
+              if Rig.ok (Linux_inet.send stack_a s ~buf:block ~pos:0 ~len:n) <> n then
                 failwith "longfat: short send";
               push (sent + n)
             end
@@ -582,8 +524,6 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
             stack_a.Linux_inet.persist_probes + stack_b.Linux_inet.persist_probes;
           Linux_inet.close stack_a s));
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  Cost.config.Cost.tcp_wscale <- saved_ws;
-  Cost.config.Cost.tcp_autotune <- saved_at;
   if !recv_done = 0 then failwith "longfat: transfer did not complete";
   { lf_mbit = float_of_int bytes *. 8e3 /. float_of_int !recv_done;
     lf_byte_exact = (!mismatches = 0 && !received = bytes);
@@ -597,21 +537,19 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
    persist timer talks during the stall.  Returns (persist probes sent,
    byte-exact). *)
 let zero_window_run ?(stall_ns = 3_000_000_000) ?(bytes = 256 * 1024) () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-  let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
+  let tb = Rig.testbed () in
+  let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:Rig.server_ip ~mask:Rig.mask in
+  let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:Rig.client_ip ~mask:Rig.mask in
   let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
   Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
       let ls = Linux_inet.socket stack_b in
       Linux_inet.bind stack_b ls ~port:5006;
       Linux_inet.listen stack_b ls ~backlog:2;
-      let c = ok (Linux_inet.accept stack_b ls) in
+      let c = Rig.ok (Linux_inet.accept stack_b ls) in
       Kclock.sleep_ns stall_ns;
       let buf = Bytes.create 16384 in
       let rec loop () =
-        match ok (Linux_inet.recv stack_b c ~buf ~pos:0 ~len:16384) with
+        match Rig.ok (Linux_inet.recv stack_b c ~buf ~pos:0 ~len:16384) with
         | 0 ->
             recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
             Linux_inet.close stack_b c
@@ -627,7 +565,7 @@ let zero_window_run ?(stall_ns = 3_000_000_000) ?(bytes = 256 * 1024) () =
   Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
       Kclock.sleep_ns 2_000_000;
       let s = Linux_inet.socket stack_a in
-      ok (Linux_inet.connect stack_a s ~dst:(ip "10.0.0.2") ~dport:5006);
+      Rig.ok (Linux_inet.connect stack_a s ~dst:Rig.server_ip ~dport:5006);
       let block = Bytes.create 16384 in
       let rec push sent =
         if sent < bytes then begin
@@ -635,7 +573,7 @@ let zero_window_run ?(stall_ns = 3_000_000_000) ?(bytes = 256 * 1024) () =
           for i = 0 to n - 1 do
             Bytes.set block i (Char.chr (pattern (sent + i)))
           done;
-          if ok (Linux_inet.send stack_a s ~buf:block ~pos:0 ~len:n) <> n then
+          if Rig.ok (Linux_inet.send stack_a s ~buf:block ~pos:0 ~len:n) <> n then
             failwith "zero_window: short send";
           push (sent + n)
         end

@@ -16,32 +16,7 @@
    that reorders or crosses flows would show up as mismatches, not just as
    noise in the rate. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-let server_ip = ip "10.0.0.2"
 let server_port = 80
-
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("smpbench: " ^ Error.to_string e)
-
-(* Same position-dependent file as httpbench: delivery is provably exact. *)
-let file_bytes = 1024
-let pattern pos = (pos * 131) land 0xff
-
-let make_root () =
-  let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
-  let root = ok (Fs_glue.newfs dev) in
-  let f = ok (root.Io_if.d_create "index.html") in
-  let body = Bytes.init file_bytes (fun i -> Char.chr (pattern i)) in
-  let rec push off =
-    if off < file_bytes then
-      match f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(file_bytes - off) with
-      | Ok n -> push (off + n)
-      | Error e -> failwith ("smpbench: write: " ^ Error.to_string e)
-  in
-  push 0;
-  root, Bytes.to_string body
 
 (* The widest row is a 2048-client connect burst: the listen backlog and
    the per-CPU netisr queue are provisioned for it (the real knobs — a
@@ -67,44 +42,24 @@ type result = {
   r_cpu_share : float array; (* fraction of steered frames per server CPU *)
 }
 
-let index_of s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go 0
-
 (* One run: [clients] blocking FreeBSD-native clients, [ncpus] CPUs on
    BOTH machines, reactor serving sharded across the server's CPUs.  The
    hot-path flags (hashed demux, header prediction) are on uniformly, so
    rows differ only in CPU count. *)
 let run ?(reqs_per_client = 2) ~ncpus ~clients () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let saved_ncpus = Cost.config.Cost.ncpus in
-  let saved_hash = Cost.config.Cost.pcb_hash in
-  let saved_fast = Cost.config.Cost.tcp_fastpath in
-  let saved_qmax = Cost.config.Cost.netisr_qmax in
-  Cost.config.Cost.ncpus <- ncpus;
-  Cost.config.Cost.pcb_hash <- true;
-  Cost.config.Cost.tcp_fastpath <- true;
-  Cost.config.Cost.netisr_qmax <- netisr_qmax;
-  Fun.protect
-    ~finally:(fun () ->
-      Cost.config.Cost.ncpus <- saved_ncpus;
-      Cost.config.Cost.pcb_hash <- saved_hash;
-      Cost.config.Cost.tcp_fastpath <- saved_fast;
-      Cost.config.Cost.netisr_qmax <- saved_qmax)
+  Cost.with_config (fun c ->
+      c.Cost.ncpus <- ncpus;
+      c.Cost.pcb_hash <- true;
+      c.Cost.tcp_fastpath <- true;
+      c.Cost.netisr_qmax <- netisr_qmax)
   @@ fun () ->
-  let tb =
-    Clientos.make_testbed ~models:("3c905", "fxp-sim")
-      ~bandwidth_bps:1_000_000_000 ()
-  in
+  let tb = Rig.testbed ~models:("3c905", "fxp-sim") ~bandwidth_bps:1_000_000_000 () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root, expect = make_root () in
-  let stack = Clientos.freebsd_host server ~ip:server_ip ~mask in
+  (* Same position-dependent file as httpbench: delivery is provably exact. *)
+  let root = Rig.make_root [ "index.html", Httpbench.body ] in
+  let stack = Clientos.freebsd_host server ~ip:Rig.server_ip ~mask:Rig.mask in
   let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
+  let cstack = Clientos.freebsd_host chost ~ip:Rig.client_ip ~mask:Rig.mask in
   let done_clients = ref 0 in
   let all_done () = !done_clients >= clients in
   let server_stats = ref None in
@@ -113,12 +68,12 @@ let run ?(reqs_per_client = 2) ~ncpus ~clients () =
      symmetric flow hash RX steering uses, so the reactor that parks the
      connection is the CPU its frames arrive on. *)
   let home (peer : Io_if.sockaddr) =
-    Rss.cpu_of_flow ~ncpus ~proto:6 ~addr_a:server_ip ~port_a:server_port
+    Rss.cpu_of_flow ~ncpus ~proto:6 ~addr_a:Rig.server_ip ~port_a:server_port
       ~addr_b:peer.Io_if.sin_addr ~port_b:peer.Io_if.sin_port
   in
   Clientos.spawn server ~cpu:0 ~name:"httpd-accept" (fun () ->
-      ok (sock.Io_if.so_bind { Io_if.sin_addr = server_ip; sin_port = server_port });
-      ok (sock.Io_if.so_listen ~backlog);
+      Rig.ok (sock.Io_if.so_bind { Io_if.sin_addr = Rig.server_ip; sin_port = server_port });
+      Rig.ok (sock.Io_if.so_listen ~backlog);
       server_stats :=
         Some (Httpd.serve_reactor_sharded ~reactors ~home ~root ~sock ());
       Reactor.run reactors.(0) ~until:all_done);
@@ -130,40 +85,14 @@ let run ?(reqs_per_client = 2) ~ncpus ~clients () =
   let samples = ref [] in
   let mismatches = ref 0 in
   let t_start = ref max_int and t_end = ref 0 in
-  let request = "GET /index.html HTTP/1.0\r\n\r\n" in
   let do_request ~record () =
     let t0 = Machine.now chost.Clientos.machine in
     let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:server_ip ~dport:server_port with
+    (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:server_port with
     | Error _ -> incr mismatches
     | Ok () ->
-        let b = Bytes.of_string request in
-        let rec push off =
-          if off < Bytes.length b then
-            match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-            | Ok n -> push (off + n)
-            | Error _ -> ()
-        in
-        push 0;
-        let buf = Bytes.create 4096 in
-        let acc = Buffer.create (file_bytes + 256) in
-        let rec drain () =
-          match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-          | Ok 0 | Error _ -> ()
-          | Ok n ->
-              Buffer.add_subbytes acc buf 0 n;
-              drain ()
-        in
-        drain ();
-        let resp = Buffer.contents acc in
-        let exact =
-          String.length resp > 12
-          && String.sub resp 0 12 = "HTTP/1.0 200"
-          && match index_of resp "\r\n\r\n" with
-             | Some i -> String.sub resp (i + 4) (String.length resp - i - 4) = expect
-             | None -> false
-        in
-        if not exact then incr mismatches);
+        Rig.send_string s "GET /index.html HTTP/1.0\r\n\r\n";
+        if not (Rig.read_200 s ~expect:Httpbench.body) then incr mismatches);
     ignore (Bsd_socket.so_close s);
     let t1 = Machine.now chost.Clientos.machine in
     if record then begin
@@ -192,25 +121,8 @@ let run ?(reqs_per_client = 2) ~ncpus ~clients () =
         incr done_clients)
   done;
   Clientos.run tb ~until:all_done;
-  if Sys.getenv_opt "OSKIT_SMP_DEBUG" <> None then begin
-    let dump name m =
-      Printf.printf "%s clocks:" name;
-      for c = 0 to ncpus - 1 do
-        Printf.printf " %d" (Machine.cpu_now m ~cpu:c / 1_000_000)
-      done;
-      Printf.printf "  busy:";
-      for c = 0 to ncpus - 1 do
-        Printf.printf " %d" (Machine.cpu_busy_ns m ~cpu:c / 1_000_000)
-      done;
-      print_newline ()
-    in
-    dump "server" server.Clientos.machine;
-    dump "client" chost.Clientos.machine
-  end;
   let st = Option.get !server_stats in
-  let sorted = Array.of_list (List.sort compare !samples) in
-  let n = Array.length sorted in
-  let pct p = if n = 0 then 0.0 else float_of_int sorted.((n - 1) * p / 100) /. 1e3 in
+  let pct = Rig.percentile !samples in
   let duration = max 1 (!t_end - !t_start) in
   let total = clients * reqs_per_client in
   (* Per-CPU share of the server's sharded segment input: how evenly RSS

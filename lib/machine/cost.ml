@@ -91,8 +91,7 @@ let defaults () =
 
 let config = defaults ()
 
-let reset_config () =
-  let d = defaults () in
+let set_config d =
   config.cpu_hz <- d.cpu_hz;
   config.copy_cycles_per_byte <- d.copy_cycles_per_byte;
   config.checksum_cycles_per_byte <- d.checksum_cycles_per_byte;
@@ -135,6 +134,13 @@ let reset_config () =
   config.http_max_reqs_per_conn <- d.http_max_reqs_per_conn;
   config.http_pipeline_max <- d.http_pipeline_max;
   config.sendfile <- d.sendfile
+
+let reset_config () = set_config (defaults ())
+
+let with_config set f =
+  let saved = { config with cpu_hz = config.cpu_hz } in
+  set config;
+  Fun.protect ~finally:(fun () -> set_config saved) f
 
 type counters = {
   mutable copies : int;

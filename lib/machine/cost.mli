@@ -211,8 +211,16 @@ val max_cpus : int
 (** The live configuration; benches mutate it for ablations. *)
 val config : config
 
+(** [set_config c] copies every field of [c] into {!config}. *)
+val set_config : config -> unit
+
 (** Restore every field to its documented default. *)
 val reset_config : unit -> unit
+
+(** [with_config set f] applies [set] to {!config}, runs [f], and then
+    restores every field to its value before [set], whether [f] returns
+    or raises. *)
+val with_config : (config -> unit) -> (unit -> 'a) -> 'a
 
 (** {2 Charging}
 

@@ -1,54 +1,58 @@
 #!/bin/sh
-# Tier-1 gate: full build, test suites, and smoke runs of the allocator
-# bench (tiny workload — we only check it runs and prints the speedup
-# table), the chaos bench (fixed-seed lossy-link soak: ttcp through
-# netem at 0–5% loss in all three configurations; the bench itself fails
-# if any cell is not byte-exact), the scatter-gather smoke (fixed
-# seed; asserts sg send >= default send, zero flatten copies on the sg
-# path, and byte-exactness with sg on under loss), and the http smoke
-# (64 concurrent clients against the httpd component on both stacks,
-# both serving shapes; the bench fails on any protocol error, any
-# non-byte-exact response, or reactor req/s below thread-per-connection),
-# and the rtt smoke (receive fast path: flags-on transfers stay
-# byte-exact under netem loss, the header-prediction run must strictly
-# reduce mean RTT with zero fallbacks on a clean in-order wire, and
-# batched RX must average more than one frame per poll under http load),
-# and the longfat smoke (window scaling + NewReno + autotuning:
-# byte-exact under 1% loss at 10 ms RTT in both stacks, scaled windows
-# >= 5x the seed throughput at 50 ms, autotuned buffers >= 90% of manual
-# BDP sizing, and the persist probe fires in a forced zero-window run),
-# and the overload smoke (survival under deliberate abuse: with the SYN
-# defense on, a 10x spoofed SYN flood must leave every legitimate client
-# served at >= 70% of clean goodput on both stacks; a 1% injected
-# allocation-failure soak must stay byte-exact with zero crashes; and
-# the guarded httpd must reclaim Slowloris-parked connections by header
-# deadline and still serve late legitimate clients),
-# and the smp smoke (multi-CPU scale-out: the sharded reactor httpd at
-# 1 and 4 CPUs under a 256-client burst; the bench fails on any
-# non-byte-exact response, any netisr overflow drop, any spinlock
-# contention on the per-flow hot path, 4-CPU req/s not strictly above
-# 1-CPU, or steering that never fired),
-# and the event smoke (the event core: kqueue dispatch work must stay
-# flat as idle watches grow 100 -> 10000 while the legacy scan grows
-# linearly; the timing wheel must fire zero timers early, none more
-# than one granule late, and none missed, at O(due) work; and a full
-# httpd transfer with both kq and timer_wheel on must stay byte-exact),
-# and the file smoke (the HTTP/1.1 + sendfile content path: keep-alive
-# req/s strictly above close-per-request at 64 clients, zero body bytes
-# copied and zero fallbacks on warm-cache sendfile hits, every body
-# byte-exact in both serving shapes, and the Linux rows carrying the
-# counted copy fallback — that stack exports no sendv face).
-# Finally, all nine committed BENCH_*.json files are regenerated and
-# must be bit-identical to the committed baselines.  Table 1/2 and the
-# rtt percentiles need --json to be rewritten at all (without it the diff
-# check was vacuous) and run with every long-fat, overload, smp, and
-# event-core knob at its default — ncpus=1, kq and timer_wheel off — so
-# the SMP layer and the event core must cost nothing when off; the http,
-# smp, longfat, overload, event and file sections rewrite their files on
-# every run.  Every number in them is virtual time, so a change that only
-# makes the simulator cheaper on the host must leave all nine untouched.
-# bench/main.exe exits non-zero on an unknown section or flag, so a
-# misspelled name above fails this script instead of testing nothing.
+# Tier-1 gate: full build, test suites, a few small smoke runs, and the
+# nine committed BENCH_*.json regenerated bit-identically.
+#
+# Small runs (OSKIT_BENCH_BLOCKS=64; each fails loudly on regression):
+#   alloc         the allocator bench runs and prints its speedup table.
+#   chaos         ttcp through netem at 0-5% loss, all three configs, every
+#                 cell byte-exact.
+#   sgsmoke       sg send >= default send, zero flatten copies on the sg
+#                 path, byte-exact with sg on under loss.
+#   rttsmoke      flags-on ttcp byte-exact under 0-1% loss; header
+#                 prediction strictly lowers mean RTT with zero fallbacks.
+#   longfatsmoke  8 MB at 50 ms: scaled windows >= 5x the seed, autotune
+#                 >= 90% of manual BDP; the persist probe fires in a
+#                 forced zero-window run.
+#   eventsmoke    a 64-client httpd with kq and timer_wheel on stays
+#                 byte-exact.
+#   filesmoke     64 clients: keep-alive beats close-per-request, warm
+#                 sendfile copies zero body bytes, Linux counts its copy
+#                 fallback, both shapes byte-exact.
+#
+# Full sections (each writes its BENCH_*.json and asserts its gates on
+# the rows it just wrote; the former *smoke runs that repeated a row are
+# now these gates):
+#   table1    the paper's Table 1 and the sg column.
+#   table2    the paper's Table 2.
+#   rtt       the 128-client fast-path http run is byte-exact and batches
+#             more than one frame per poll (was rttsmoke).
+#   http      every row byte-exact with no protocol errors; reactor >= 4x
+#             threaded concurrency at 256 clients; reactor req/s >=
+#             threaded on both 64-client rows (was httpsmoke).
+#   smp       every row byte-exact, no netisr drop, no spin contention;
+#             4 CPUs >= 3x at 1024 and 2048 clients; at 256 clients 4
+#             CPUs beat 1 and RSS steered frames (was smpsmoke).
+#   longfat   every cell byte-exact; at 50 ms / 0% scaled windows >= 5x
+#             and autotune >= 90% of manual; the 10 ms / 1% autotune rows
+#             are byte-exact with retransmissions (was longfatsmoke).
+#   overload  the defended 40-SYN flood rows serve all 4 clients at
+#             >= 70% of the defended clean row's goodput with every flood
+#             SYN in the syncache; the 1% soak rows stay byte-exact with
+#             failures injected; the guard-on Slowloris row serves all
+#             legit clients with deadline cuts (was overloadsmoke).
+#   event     the idle-10000 kq row makes as many kq visits as the
+#             idle-100 row and the scan makes >= 10x them; every wheel row
+#             keeps the timing contract; the idle-10000 wheel row works
+#             under 1/100 of the scan (was eventsmoke).
+#   file      every row byte-exact; pipelined ka+sendfile >= 3x
+#             close-per-request at 10k requests; warm sendfile rows copy
+#             no body bytes.
+# Every number in the nine files is virtual time and the runs leave the
+# SMP and event-core knobs at their defaults, so a change that only makes
+# the simulator cheaper on the host must leave all nine untouched.
+# bench/main.exe exits 2 on an unknown section or a bad
+# OSKIT_BENCH_BLOCKS, so a misspelled name fails this script instead of
+# testing nothing.
 set -eux
 
 dune build
@@ -56,16 +60,13 @@ dune runtest
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- alloc
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- chaos
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- sgsmoke
-OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- httpsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- rttsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- longfatsmoke
-OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- overloadsmoke
-OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- smpsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- eventsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- filesmoke
-dune exec bench/main.exe -- table1 --sg --json
-dune exec bench/main.exe -- table2 --json
-dune exec bench/main.exe -- rtt --json
+dune exec bench/main.exe -- table1
+dune exec bench/main.exe -- table2
+dune exec bench/main.exe -- rtt
 dune exec bench/main.exe -- http smp longfat overload event file
 git diff --exit-code BENCH_table1.json BENCH_table2.json BENCH_rtt.json \
   BENCH_http.json BENCH_smp.json BENCH_longfat.json BENCH_overload.json \

@@ -58,6 +58,38 @@ let test_cost_counters () =
   Alcotest.(check int) "crossings" 1 Cost.counters.Cost.glue_crossings;
   Cost.reset_counters ()
 
+(* Every field must come back after a normal return, an exception, and a
+   nested use; the starting config is off-default so a restore cannot be
+   mistaken for a reset. *)
+let test_cost_with_config () =
+  let c = Cost.config in
+  let snapshot () = { c with Cost.cpu_hz = c.Cost.cpu_hz } in
+  let restored what expect = Alcotest.(check bool) what true (c = expect) in
+  c.Cost.glue_crossing_cycles <- 7;
+  c.Cost.alloc_fail_prob <- 0.25;
+  let before = snapshot () in
+  let scramble c =
+    Cost.reset_config ();
+    c.Cost.cpu_hz <- 1;
+    c.Cost.sg_tx <- true;
+    c.Cost.rx_batch <- 8;
+    c.Cost.alloc_fail_prob <- 0.5;
+    c.Cost.sendfile <- true
+  in
+  let r = Cost.with_config scramble (fun () -> c.Cost.ncpus <- 4; 42) in
+  Alcotest.(check int) "result passed through" 42 r;
+  restored "after return" before;
+  (try Cost.with_config scramble (fun () -> failwith "boom") with Failure _ -> ());
+  restored "after exception" before;
+  Cost.with_config
+    (fun c -> c.Cost.kq <- true)
+    (fun () ->
+      let outer = snapshot () in
+      Cost.with_config scramble (fun () -> c.Cost.timer_wheel <- true);
+      restored "inner restores the outer's setting" outer);
+  restored "after nested use" before;
+  Cost.reset_config ()
+
 let test_physmem () =
   let ram = Physmem.create ~bytes:8192 in
   Physmem.set32 ram 100 0xdeadbeefl;
@@ -245,6 +277,7 @@ let suite =
     Alcotest.test_case "world fuel" `Quick test_world_fuel;
     Alcotest.test_case "cost charging" `Quick test_cost_charging;
     Alcotest.test_case "cost counters" `Quick test_cost_counters;
+    Alcotest.test_case "cost with_config restores" `Quick test_cost_with_config;
     Alcotest.test_case "physmem" `Quick test_physmem;
     Alcotest.test_case "irq mask/pending" `Quick test_irq_mask_and_pending;
     Alcotest.test_case "irq disable/enable" `Quick test_irq_disable_enable;
