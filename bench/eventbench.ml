@@ -6,11 +6,12 @@
    claim under test is the one DESIGN.md makes for the event core:
    per-pass work tracks the ready/due set, never the registered set.
 
-   - kqueue vs legacy scan: N idle watches + 128 hot ones on synthetic
-     asyncio objects; each round fires the hot set and runs one reactor
-     pass.  The legacy engine visits every watch per pass (O(watches));
-     the kqueue engine dequeues exactly the fired knotes (O(ready)).
-     [Reactor.stats.visits] is the deterministic work counter.
+   - kqueue vs scan: N idle watches + 128 hot ones on synthetic asyncio
+     objects; each round fires the hot set and runs one reactor pass.
+     The reactor's kqueue dequeues exactly the fired knotes (O(ready));
+     [Reactor.stats.visits] is the deterministic work counter.  The
+     strawman is a pass that visits every watch (O(watches)), which is
+     (idle + hot) x rounds visits in closed form.
 
    - timing wheel: N idle timers parked seconds-to-minutes out + 128
      timers due inside a 900-tick window; one [Timewheel.advance] walks
@@ -53,14 +54,12 @@ type kq_row = {
   kr_idle : int;
   kr_hot : int;
   kr_rounds : int;
-  kr_scan_visits : int; (* legacy engine: watch-list entries examined *)
-  kr_kq_visits : int; (* kqueue engine: knotes dequeued *)
-  kr_dispatches : int; (* callbacks run (identical in both engines) *)
+  kr_scan_visits : int; (* strawman: every watch examined every pass *)
+  kr_kq_visits : int; (* knotes dequeued *)
+  kr_dispatches : int; (* callbacks run *)
 }
 
-(* One engine, one idle population: returns (visits, dispatches, hits). *)
-let kq_run ~kq ~idle ~hot ~rounds =
-  Cost.with_config (fun c -> c.Cost.kq <- kq) @@ fun () ->
+let kq_sweep ~idle ~hot ~rounds =
   let r = Reactor.create () in
   for _ = 1 to idle do
     let s = synthetic () in
@@ -79,21 +78,14 @@ let kq_run ~kq ~idle ~hot ~rounds =
     Array.iter (fun s -> s.fire ()) hots;
     ignore (Reactor.step r)
   done;
+  if !hits <> hot * rounds then failwith "eventbench: the reactor lost a readiness notification";
   let st = Reactor.stats r in
-  (st.Reactor.visits, st.Reactor.dispatches, !hits)
-
-let kq_sweep ~idle ~hot ~rounds =
-  let scan_visits, scan_disp, scan_hits = kq_run ~kq:false ~idle ~hot ~rounds in
-  let kq_visits, kq_disp, kq_hits = kq_run ~kq:true ~idle ~hot ~rounds in
-  if scan_hits <> hot * rounds || kq_hits <> hot * rounds then
-    failwith "eventbench: an engine lost a readiness notification";
-  if scan_disp <> kq_disp then failwith "eventbench: engines dispatched differently";
   { kr_idle = idle;
     kr_hot = hot;
     kr_rounds = rounds;
-    kr_scan_visits = scan_visits;
-    kr_kq_visits = kq_visits;
-    kr_dispatches = kq_disp }
+    kr_scan_visits = (idle + hot) * rounds;
+    kr_kq_visits = st.Reactor.visits;
+    kr_dispatches = st.Reactor.dispatches }
 
 type wheel_row = {
   wr_idle : int;

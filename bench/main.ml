@@ -568,21 +568,21 @@ let http () =
 
 (* ---------------- rtt: the Table 2 gap, attacked ---------------- *)
 
-(* All three receive-side fast-path layers at once; default off everywhere
-   else, so only these two sections ever see them. *)
+(* Both switchable receive-side fast-path layers at once; default off
+   everywhere else, so only these two sections ever see them.  The third
+   layer, the hashed PCB demux, is always on. *)
 let fast_flags on f =
   Cost.with_config
     (fun c ->
       c.Cost.tcp_fastpath <- on;
-      c.Cost.pcb_hash <- on;
       c.Cost.rx_batch <- (if on then 8 else 1))
     f
 
 let rtt () =
   section_header "RTT distribution: rtcp percentiles, default vs receive fast path";
   print_endline
-    "fast path = header prediction + hashed PCB demux + batched RX; flags off\n\
-     reproduces Table 2 exactly, flags on closes the gap toward FreeBSD\n";
+    "fast path = header prediction + batched RX over the hashed PCB demux;\n\
+     flags off reproduces Table 2 exactly, flags on closes the gap toward FreeBSD\n";
   let trips = 200 in
   let fields =
     Row.
@@ -1125,13 +1125,11 @@ let event () =
 
 let eventsmoke () =
   section_header "event CI gate";
-  (* A full httpd transfer with both kq and timer_wheel on: the served
-     bytes must be exact. *)
+  (* A full reactor httpd transfer with timer_wheel on: the served bytes
+     must be exact. *)
   let r =
     Cost.with_config
-      (fun c ->
-        c.Cost.kq <- true;
-        c.Cost.timer_wheel <- true)
+      (fun c -> c.Cost.timer_wheel <- true)
       (fun () ->
         Httpbench.run ~config:Rig.Oskit_com ~mode:Rig.Reactor ~clients:64 ())
   in

@@ -163,10 +163,10 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
 
 (* rtcp: 1-byte round trips, both sides in [config], keeping the whole
    per-trip distribution and the receive fast-path counters.  [fastpath]
-   turns on all three receive-side layers at once (header prediction,
-   hashed PCB demux, batched RX) — default off, the paper's measured
-   configuration.  The per-trip [Machine.now] reads charge nothing, so
-   the mean is the loop's total time over [trips]: Table 2's number. *)
+   turns on header prediction and batched RX at once — default off, the
+   paper's measured configuration; the hashed PCB demux is always on.
+   The per-trip [Machine.now] reads charge nothing, so the mean is the
+   loop's total time over [trips]: Table 2's number. *)
 type rtt_dist = {
   rtt_mean_us : float;
   rtt_p50_us : float;
@@ -183,7 +183,6 @@ type rtt_dist = {
 let dist ?(fastpath = false) config ~trips =
   Cost.with_config (fun c ->
       c.Cost.tcp_fastpath <- fastpath;
-      c.Cost.pcb_hash <- fastpath;
       c.Cost.rx_batch <- (if fastpath then 8 else 1))
   @@ fun () ->
   let tb = Rig.testbed () in

@@ -43,13 +43,11 @@ type result = {
 }
 
 (* One run: [clients] blocking FreeBSD-native clients, [ncpus] CPUs on
-   BOTH machines, reactor serving sharded across the server's CPUs.  The
-   hot-path flags (hashed demux, header prediction) are on uniformly, so
-   rows differ only in CPU count. *)
+   BOTH machines, reactor serving sharded across the server's CPUs.
+   Header prediction is on uniformly, so rows differ only in CPU count. *)
 let run ?(reqs_per_client = 2) ~ncpus ~clients () =
   Cost.with_config (fun c ->
       c.Cost.ncpus <- ncpus;
-      c.Cost.pcb_hash <- true;
       c.Cost.tcp_fastpath <- true;
       c.Cost.netisr_qmax <- netisr_qmax)
   @@ fun () ->

@@ -69,13 +69,6 @@ let iter f t =
   in
   go t.first
 
-let find_opt f t =
-  let rec go = function
-    | None -> None
-    | Some n -> if f n.v then Some n.v else go n.next
-  in
-  go t.first
-
 (* The first [k] values, front to back, left linked. *)
 let prefix t k =
   let rec go acc k = function

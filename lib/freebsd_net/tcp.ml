@@ -10,8 +10,9 @@
  * affect the paper's measurements (bulk transfer and 1-byte latency on a
  * LAN).  Header prediction — absent from the 1997 snapshot this models —
  * exists behind Cost.config.tcp_fastpath (default off, so the measured
- * Table 2 shape is untouched), together with the hashed PCB demux behind
- * Cost.config.pcb_hash; see fastpath_pred/fastpath_input below.
+ * Table 2 shape is untouched); see fastpath_pred/fastpath_input below.
+ * Demux is always the donor's hashed lookup behind a one-entry cache
+ * (find_pcb), which finds what a linear PCB scan would at O(1) cost.
  *)
 
 let tcp_hlen = 20
@@ -204,10 +205,9 @@ and t = {
   pcbs : tcpcb Dlist.t;
   port_refs : (int, int) Hashtbl.t; (* lport -> registered pcbs using it *)
   listeners : (int, tcpcb list) Hashtbl.t; (* lport -> listeners, newest first *)
-  (* O(1) demux (Cost.config.pcb_hash): connected pcbs keyed by
-     (raddr, rport, lport), plus the donor's tcp_last_inpcb one-entry
-     cache.  Maintained unconditionally so the flag can flip mid-run;
-     listeners stay out (they are found through [listeners]). *)
+  (* O(1) demux: connected pcbs keyed by (raddr, rport, lport), plus the
+     donor's tcp_last_inpcb one-entry cache; listeners stay out (they are
+     found through [listeners]). *)
   pcb_hash : (int32 * int * int, tcpcb) Hashtbl.t;
   mutable last_pcb : tcpcb option;
   mutable next_ephemeral : int;
@@ -977,28 +977,21 @@ let rec reass_deliver pcb =
 (* tcp_input                                                           *)
 
 let find_pcb t ~src ~sport ~dport =
+  (* tcp_last_inpcb first, then the 4-tuple hash. *)
   let connected =
-    if Cost.config.pcb_hash then begin
-      (* tcp_last_inpcb first, then the 4-tuple hash. *)
-      match t.last_pcb with
-      | Some p
-        when p.lport = dport && p.rport = sport && Int32.equal p.raddr src
-             && p.t_state <> Listen ->
-          Cost.count_pcb_cache_hit ();
-          Some p
-      | _ -> (
-          Cost.count_pcb_cache_miss ();
-          match Hashtbl.find_opt t.pcb_hash (src, sport, dport) with
-          | Some p when p.t_state <> Listen ->
-              t.last_pcb <- Some p;
-              Some p
-          | _ -> None)
-    end
-    else
-      Dlist.find_opt
-        (fun p ->
-          p.lport = dport && p.rport = sport && Int32.equal p.raddr src && p.t_state <> Listen)
-        t.pcbs
+    match t.last_pcb with
+    | Some p
+      when p.lport = dport && p.rport = sport && Int32.equal p.raddr src
+           && p.t_state <> Listen ->
+        Cost.count_pcb_cache_hit ();
+        Some p
+    | _ -> (
+        Cost.count_pcb_cache_miss ();
+        match Hashtbl.find_opt t.pcb_hash (src, sport, dport) with
+        | Some p when p.t_state <> Listen ->
+            t.last_pcb <- Some p;
+            Some p
+        | _ -> None)
   in
   match connected with
   | Some _ as r -> r
@@ -1732,6 +1725,11 @@ let usr_listen t pcb ~backlog =
 
 let usr_connect t pcb ~dst ~dport =
   if pcb.t_state <> Closed then Result.Error Error.Isconn
+  else if Hashtbl.mem t.pcb_hash (dst, dport, pcb.lport) then
+    (* in_pcbconnect's EADDRINUSE: a live pcb (a TIME_WAIT one, say) owns
+       the 4-tuple.  One pcb per key is what lets the hash find exactly
+       the pcb a scan of the live set would. *)
+    Result.Error Error.Addrinuse
   else begin
     pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
     if pcb.lport = 0 then pcb.lport <- alloc_port t;

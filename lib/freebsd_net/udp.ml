@@ -17,11 +17,11 @@ type pcb = {
 
 type t = {
   ip : Ip.t;
-  pcbs : pcb Dlist.t; (* newest first: the linear demux's search order *)
+  pcbs : pcb Dlist.t; (* live pcbs, newest first *)
   port_refs : (int, int) Hashtbl.t; (* lport -> live pcbs bound to it *)
-  (* O(1) demux (Cost.config.pcb_hash), sharing the TCP scheme: exact
-     4-tuple key for connected pcbs, (0, 0, lport) for wildcard binds.
-     Rebuilt on bind/alloc/detach — the only places lport changes. *)
+  (* O(1) demux, sharing the TCP scheme: exact 4-tuple key for connected
+     pcbs, (0, 0, lport) for wildcard binds.  Rebuilt on bind, alloc,
+     connect and detach — the only places the key changes. *)
   pcb_hash : (int32 * int * int, pcb) Hashtbl.t;
   mutable next_ephemeral : int;
   mutable badsum : int;    (* datagrams dropped on checksum failure *)
@@ -84,6 +84,16 @@ let icmp_allowed t =
     end
   end
 
+(* Demux: the exact 4-tuple first, then the wildcard bind. *)
+let lookup t ~src ~sport ~dport =
+  match Hashtbl.find_opt t.pcb_hash (src, sport, dport) with
+  | Some _ as r ->
+      Cost.count_pcb_cache_hit ();
+      r
+  | None ->
+      Cost.count_pcb_cache_miss ();
+      Hashtbl.find_opt t.pcb_hash (0l, 0, dport)
+
 let attach ip =
   let t =
     { ip; pcbs = Dlist.create (); port_refs = Hashtbl.create 16;
@@ -112,25 +122,7 @@ let attach ip =
         in
         if not sum_ok then t.badsum <- t.badsum + 1
         else begin
-          let demux () =
-            if Cost.config.pcb_hash then begin
-              (* Exact match first, then the wildcard bind. *)
-              match Hashtbl.find_opt t.pcb_hash (src, sport, dport) with
-              | Some _ as r ->
-                  Cost.count_pcb_cache_hit ();
-                  r
-              | None ->
-                  Cost.count_pcb_cache_miss ();
-                  Hashtbl.find_opt t.pcb_hash (0l, 0, dport)
-            end
-            else
-              Dlist.find_opt
-                (fun p ->
-                  p.lport = dport
-                  && (p.rport = 0 || (p.rport = sport && Int32.equal p.raddr src)))
-                t.pcbs
-          in
-          match demux () with
+          match lookup t ~src ~sport ~dport with
           | None ->
               (* No listener: answer with ICMP port unreachable (the
                  donor's icmp_error), quoting the UDP header so the
@@ -194,6 +186,16 @@ let bind t pcb ~port =
     hash_add t pcb;
     Ok ()
   end
+
+(* udp_connect: fix the remote end, so datagrams from it demux by the
+   exact 4-tuple and no others reach [pcb].  Binds an ephemeral port
+   first when the pcb has none. *)
+let connect t pcb ~dst ~dport =
+  hash_remove t pcb;
+  if pcb.lport = 0 then set_lport t pcb (alloc_port t);
+  pcb.raddr <- dst;
+  pcb.rport <- dport;
+  hash_add t pcb
 
 let detach t pcb =
   (match pcb.live with

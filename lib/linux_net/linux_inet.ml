@@ -162,10 +162,9 @@ and stack = {
   mutable next_sid : int;
   port_refs : (int, int) Hashtbl.t; (* lport -> live socks using it *)
   listen_socks : (int, sock list) Hashtbl.t; (* lport -> listeners, newest first *)
-  (* O(1) demux (Cost.config.pcb_hash): connected socks keyed by
-     (raddr, rport, lport) plus a one-entry last-sock cache; listeners are
-     found through [listen_socks].  Maintained unconditionally so the flag
-     can flip mid-run. *)
+  (* O(1) demux: connected socks keyed by (raddr, rport, lport) plus a
+     one-entry last-sock cache; listeners are found through
+     [listen_socks]. *)
   sock_hash : (int32 * int * int, sock) Hashtbl.t;
   mutable last_sock : sock option;
   mutable next_port : int;
@@ -917,26 +916,19 @@ let new_sock t =
 
 let find_sock t ~src ~sport ~dport =
   let connected =
-    if Cost.config.pcb_hash then begin
-      match t.last_sock with
-      | Some s
-        when s.lport = dport && s.rport = sport && Int32.equal s.raddr src
-             && s.state <> Listen ->
-          Cost.count_pcb_cache_hit ();
-          Some s
-      | _ -> (
-          Cost.count_pcb_cache_miss ();
-          match Hashtbl.find_opt t.sock_hash (src, sport, dport) with
-          | Some s when s.state <> Listen ->
-              t.last_sock <- Some s;
-              Some s
-          | _ -> None)
-    end
-    else
-      Dlist.find_opt
-        (fun s ->
-          s.lport = dport && s.rport = sport && Int32.equal s.raddr src && s.state <> Listen)
-        t.socks
+    match t.last_sock with
+    | Some s
+      when s.lport = dport && s.rport = sport && Int32.equal s.raddr src
+           && s.state <> Listen ->
+        Cost.count_pcb_cache_hit ();
+        Some s
+    | _ -> (
+        Cost.count_pcb_cache_miss ();
+        match Hashtbl.find_opt t.sock_hash (src, sport, dport) with
+        | Some s when s.state <> Listen ->
+            t.last_sock <- Some s;
+            Some s
+        | _ -> None)
   in
   match connected with
   | Some _ as r -> r
@@ -1568,30 +1560,35 @@ let accept _t s =
   wait ()
 
 let connect t s ~dst ~dport =
-  if s.lport = 0 then set_lport t s (alloc_port t);
-  s.raddr <- dst;
-  s.rport <- dport;
-  sock_hash_add t s;
-  s.iss <- next_iss t;
-  s.snd_una <- s.iss;
-  s.snd_nxt <- m32 (s.iss + 1);
-  s.state <- Syn_sent;
-  if not (tcp_xmit t s ~seq:s.iss ~flags:th_syn ~payload:None ~queue:true) then begin
-    (* The SYN never left and nothing is queued to retransmit it: fail the
-       connect with ENOBUFS instead of blocking forever. *)
-    s.state <- Closed;
-    s.err <- Some Error.Nomem;
-    detach t s
-  end;
-  let rec wait () =
-    match s.state with
-    | Established -> Ok ()
-    | Syn_sent ->
-        Sleep_record.sleep s.sleep;
-        wait ()
-    | _ -> Result.Error (Option.value s.err ~default:Error.Connrefused)
-  in
-  wait ()
+  (* A live sock (a TIME_WAIT one, say) owns the 4-tuple: refuse, as
+     inet_hash_connect does, so the hash keeps one sock per key. *)
+  if Hashtbl.mem t.sock_hash (dst, dport, s.lport) then Result.Error Error.Addrinuse
+  else begin
+    if s.lport = 0 then set_lport t s (alloc_port t);
+    s.raddr <- dst;
+    s.rport <- dport;
+    sock_hash_add t s;
+    s.iss <- next_iss t;
+    s.snd_una <- s.iss;
+    s.snd_nxt <- m32 (s.iss + 1);
+    s.state <- Syn_sent;
+    if not (tcp_xmit t s ~seq:s.iss ~flags:th_syn ~payload:None ~queue:true) then begin
+      (* The SYN never left and nothing is queued to retransmit it: fail
+         the connect with ENOBUFS instead of blocking forever. *)
+      s.state <- Closed;
+      s.err <- Some Error.Nomem;
+      detach t s
+    end;
+    let rec wait () =
+      match s.state with
+      | Established -> Ok ()
+      | Syn_sent ->
+          Sleep_record.sleep s.sleep;
+          wait ()
+      | _ -> Result.Error (Option.value s.err ~default:Error.Connrefused)
+    in
+    wait ()
+  end
 
 (* Blocking send of the whole buffer, MSS segment at a time. *)
 let send t s ~buf ~pos ~len =

@@ -63,11 +63,11 @@ type config = {
           the trivial ACK/append work, no general-case machinery.
           Default 850. *)
   mutable pcb_hash : bool;
-      (** O(1) inbound demux: a 4-tuple hash table plus a one-entry
-          last-PCB cache (BSD's [tcp_last_inpcb]) in place of the linear
-          PCB scan, in TCP and UDP of both stacks.  Purely algorithmic —
-          no cycle charge changes either way; the cache-hit/miss counters
-          prove it is exercised.  Default [false]. *)
+      (** Ignored.  Inbound demux in TCP and UDP of both stacks is always
+          a 4-tuple hash table behind a one-entry last-PCB cache (BSD's
+          [tcp_last_inpcb]); the linear PCB scan this field used to select
+          is gone.  Kept only so existing assignments still compile; the
+          next benchmark change can drop them and then this field. *)
   mutable rx_batch : int;
       (** NAPI-style RX batching budget: how many pending frames one
           interrupt may carry from the driver to the stack through a
@@ -158,12 +158,11 @@ type config = {
           counted ({!field:counters.netisr_drops}), like a software-interrupt
           queue overflow.  Default 512. *)
   mutable kq : bool;
-      (** kqueue-backed reactor: {!Reactor.create} builds an
-          {!Kqueue.t} and [step] drains its ready queue — O(ready
-          connections) per pass instead of rescanning every watch.
-          Purely algorithmic (no cycle-charge change), but dispatch
-          order differs from the legacy registration-order scan, so
-          default [false] keeps committed baselines bit-identical. *)
+      (** Ignored.  The reactor always dispatches through a
+          {!Kqueue.t} ready queue, O(ready connections) per pass; the
+          registration-order scan engine this field used to select is
+          gone.  Kept only so existing assignments still compile; the
+          next benchmark change can drop them and then this field. *)
   mutable timer_wheel : bool;
       (** Hierarchical timing-wheel timers: TCP retransmit / persist /
           2MSL / delayed-ACK timers and httpd header deadlines become

@@ -1,8 +1,8 @@
 (* The event core: hierarchical timing wheel against a reference
    scheduler, cascade boundaries, per-CPU wheel firing through Kwheel,
-   kqueue trigger modes and coalescing, the World.cancel regression,
-   and the flags-off discipline (legacy paths never touch the new
-   counters). *)
+   kqueue trigger modes and coalescing, the reactor's kqueue dispatch,
+   the World.cancel regression, and the flags-off discipline (tick
+   timers never touch the wheel counters). *)
 
 let ok = function Ok v -> v | Result.Error _ -> Alcotest.fail "unexpected COM error"
 
@@ -204,12 +204,9 @@ let test_kqueue_modes () =
   Alcotest.(check int) "oneshot: gone after delivery" 0
     (List.length (Kqueue.kevent kq ~max:8))
 
-(* ---- reactor on the kqueue engine dispatches like the legacy one ---- *)
+(* ---- the reactor dispatches through its kqueue ---- *)
 
 let test_reactor_kq_engine () =
-  let saved = Cost.config.Cost.kq in
-  Cost.config.Cost.kq <- true;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.kq <- saved) @@ fun () ->
   let r = Reactor.create () in
   let s = Test_asyncio.synthetic () in
   let hits = ref 0 in
@@ -230,19 +227,7 @@ let test_reactor_kq_engine () =
 
 let test_flags_off_counters () =
   Cost.reset_counters ();
-  Alcotest.(check bool) "kq flag defaults off" false Cost.config.Cost.kq;
   Alcotest.(check bool) "wheel flag defaults off" false Cost.config.Cost.timer_wheel;
-  (* legacy reactor pass *)
-  let r = Reactor.create () in
-  let s = Test_asyncio.synthetic () in
-  let got = ref 0 in
-  ignore
-    (Reactor.watch r s.Test_asyncio.syn_aio ~mask:Io_if.aio_read (fun _ ->
-         incr got;
-         s.Test_asyncio.clear ()));
-  s.Test_asyncio.fire Io_if.aio_read;
-  ignore (Reactor.step r);
-  Alcotest.(check int) "legacy dispatch ran" 1 !got;
   (* legacy timer path *)
   let world = World.create () in
   let m = Machine.create world in
@@ -251,8 +236,6 @@ let test_flags_off_counters () =
   World.run world;
   Alcotest.(check bool) "legacy timer ran" true !ticked;
   let c = Cost.counters in
-  Alcotest.(check int) "no kq posts" 0 c.Cost.kq_posted;
-  Alcotest.(check int) "no kq coalesces" 0 c.Cost.kq_coalesced;
   Alcotest.(check int) "no wheel arms" 0 c.Cost.wheel_arms;
   Alcotest.(check int) "no wheel cancels" 0 c.Cost.wheel_cancels;
   Alcotest.(check int) "no wheel cascades" 0 c.Cost.wheel_cascades;

@@ -82,7 +82,7 @@ let test_cost_with_config () =
   (try Cost.with_config scramble (fun () -> failwith "boom") with Failure _ -> ());
   restored "after exception" before;
   Cost.with_config
-    (fun c -> c.Cost.kq <- true)
+    (fun c -> c.Cost.tcp_fastpath <- true)
     (fun () ->
       let outer = snapshot () in
       Cost.with_config scramble (fun () -> c.Cost.timer_wheel <- true);

@@ -419,20 +419,8 @@ let linux_side tb =
             end)
           !socks) }
 
-let with_knobs ~tw_max f =
-  let c = Cost.config in
-  let saved = (c.Cost.tw_max, c.Cost.pcb_hash) in
-  c.Cost.tw_max <- tw_max;
-  c.Cost.pcb_hash <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      let tw, ph = saved in
-      c.Cost.tw_max <- tw;
-      c.Cost.pcb_hash <- ph)
-    f
-
 let churn ~make_side ~tw_max () =
-  with_knobs ~tw_max (fun () ->
+  Cost.with_config (fun c -> c.Cost.tw_max <- tw_max) (fun () ->
       Clientos.reset_globals ();
       Fdev.clear_drivers ();
       let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
