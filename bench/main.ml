@@ -1194,7 +1194,18 @@ let file_checks =
   Filebench.
     [ Row.each "file: response was not byte-exact" (fun r -> r.r_mismatches = 0);
       Row.each "file: protocol errors" (fun r -> r.r_protocol_errors = 0);
-      Row.each "file: not every request got a 200" (fun r -> r.r_responses >= r.r_requests) ]
+      Row.each "file: not every request got a 200" (fun r -> r.r_responses >= r.r_requests);
+      (* A request reads each block of its directory and of its body at
+         most once: the lookup scans directory blocks in place.  64 KB
+         bodies are left out, as the copy path re-reads a block per send
+         chunk. *)
+      Row.each "file: a request read more blocks than its directory and body hold"
+        (fun r ->
+          let blocks bytes = (bytes + Ffs.bsize - 1) / Ffs.bsize in
+          r.r_file_bytes > 16384
+          || r.r_bufcache_hits + r.r_bufcache_misses
+             <= r.r_responses
+                * (blocks ((r.r_files + 2) * Ffs.dirent_size) + blocks r.r_file_bytes)) ]
 
 let file () =
   section_header

@@ -412,17 +412,80 @@ let ifree t node =
   bitmap_set t ~start:t.sb.ibmap_start node.ino false;
   Hashtbl.remove t.icache node.ino
 
-(* ---- directories ---- *)
+(* ---- directories ----
+
+   A directory is an array of [dirent_size]-byte entries: an int32 inode
+   number (0 = free slot), a name-length byte, then the name.  Every
+   reader goes through [dir_walk], which decodes the entries in place in
+   the cached block, as ufs_lookup compares [struct direct]s in the
+   buffer: one bmap, one bread and one brelse per directory block, and
+   nothing copied.  Only [dirent_write] copies, as ufs_direnter does. *)
 
 let dirent_count node = node.i_size / dirent_size
+let dirents_per_block = bsize / dirent_size
 
-let dirent_read t node idx =
-  let buf = Bytes.create dirent_size in
-  let n = read t node ~off:(idx * dirent_size) ~len:dirent_size ~dst:buf ~dst_pos:0 in
-  if n <> dirent_size then fail Error.Io;
-  let ino = Int32.to_int (Bytes.get_int32_le buf 0) in
-  let namelen = Char.code (Bytes.get buf 4) in
-  if ino = 0 then None else Some (ino, Bytes.sub_string buf 5 (min namelen max_name))
+let dirent_ino d off = Int32.to_int (Bytes.get_int32_le d off)
+
+(* Entry [off]'s name is [name], compared in the buffer. *)
+let dirent_is d off name =
+  let len = String.length name in
+  len <= max_name
+  && Char.code (Bytes.get d (off + 4)) = len
+  &&
+  let rec same i = i = len || (Bytes.get d (off + 5 + i) = name.[i] && same (i + 1)) in
+  same 0
+
+(* A live entry other than "." and "..". *)
+let dirent_named d off =
+  dirent_ino d off <> 0 && not (dirent_is d off "." || dirent_is d off "..")
+
+(* Visit [dnode]'s entries in order: [visit idx d off] sees entry [idx]
+   at [d.[off]] and returns [true] to stop the walk. *)
+let dir_walk t dnode visit =
+  if dnode.i_kind <> K_dir then fail Error.Notdir;
+  let n = dirent_count dnode in
+  let rec walk_block fblk =
+    let first = fblk * dirents_per_block in
+    if first < n then begin
+      let last = min n (first + dirents_per_block) in
+      (* Directories grow a block at a time and never shrink: no holes. *)
+      let blk = bmap t dnode fblk ~alloc:false in
+      if blk = 0 then fail Error.Io;
+      let b = Buf.bread t.bc blk in
+      let rec walk_entry idx =
+        idx < last
+        && (visit idx b.Buf.b_data ((idx - first) * dirent_size) || walk_entry (idx + 1))
+      in
+      let stopped = walk_entry first in
+      Buf.brelse b;
+      if not stopped then walk_block (fblk + 1)
+    end
+  in
+  walk_block 0
+
+type scan = Found of int * int (* index, inode *) | Free of int (* first free index *)
+
+(* ufs_lookup: one walk finds [name] or, failing that, the slot a new
+   entry takes: the first hole, else the end of the directory. *)
+let dir_scan t dnode name =
+  let found = ref None and hole = ref (-1) in
+  dir_walk t dnode (fun idx d off ->
+      let ino = dirent_ino d off in
+      if ino = 0 then begin
+        if !hole < 0 then hole := idx;
+        false
+      end
+      else if dirent_is d off name then begin
+        found := Some (idx, ino);
+        true
+      end
+      else false);
+  match !found with
+  | Some (idx, ino) -> Found (idx, ino)
+  | None -> Free (if !hole < 0 then dirent_count dnode else !hole)
+
+let dir_lookup t dnode name =
+  match dir_scan t dnode name with Found (idx, ino) -> Some (idx, ino) | Free _ -> None
 
 let dirent_write t node idx ~ino ~name =
   let buf = Bytes.make dirent_size '\000' in
@@ -435,70 +498,50 @@ let check_name name =
   if name = "" || String.length name > max_name || String.contains name '/' then
     fail Error.Nametoolong
 
-let dir_lookup t dnode name =
-  if dnode.i_kind <> K_dir then fail Error.Notdir;
-  let n = dirent_count dnode in
-  let rec go i =
-    if i >= n then None
-    else
-      match dirent_read t dnode i with
-      | Some (ino, nm) when nm = name -> Some (i, ino)
-      | Some _ | None -> go (i + 1)
-  in
-  go 0
+(* The slot for a new entry [name]: Exist if the name is taken. *)
+let dir_free_slot t dnode name =
+  match dir_scan t dnode name with Found _ -> fail Error.Exist | Free slot -> slot
 
-let dir_enter t dnode ~name ~ino =
-  check_name name;
-  if dir_lookup t dnode name <> None then fail Error.Exist;
-  (* Reuse a hole if one exists. *)
-  let n = dirent_count dnode in
-  let rec find_slot i =
-    if i >= n then n else match dirent_read t dnode i with None -> i | Some _ -> find_slot (i + 1)
-  in
-  dirent_write t dnode (find_slot 0) ~ino ~name
-
-let dir_remove t dnode ~name =
-  match dir_lookup t dnode name with
-  | None -> fail Error.Noent
-  | Some (idx, ino) ->
-      dirent_write t dnode idx ~ino:0 ~name:"";
-      ino
+let dir_clear t dnode idx = dirent_write t dnode idx ~ino:0 ~name:""
 
 let dir_entries t dnode =
-  if dnode.i_kind <> K_dir then fail Error.Notdir;
-  let n = dirent_count dnode in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else
-      match dirent_read t dnode i with
-      | Some (_, nm) when nm <> "." && nm <> ".." -> go (i + 1) (nm :: acc)
-      | Some _ | None -> go (i + 1) acc
-  in
-  go 0 []
+  let names = ref [] in
+  dir_walk t dnode (fun _ d off ->
+      if dirent_named d off then begin
+        let len = min (Char.code (Bytes.get d (off + 4))) max_name in
+        names := Bytes.sub_string d (off + 5) len :: !names
+      end;
+      false);
+  List.rev !names
 
-let dir_is_empty t dnode = dir_entries t dnode = []
+let dir_is_empty t dnode =
+  let empty = ref true in
+  dir_walk t dnode (fun _ d off ->
+      if dirent_named d off then empty := false;
+      not !empty);
+  !empty
 
 (* ---- high-level operations (single path component, as the COM
    interface demands) ---- *)
 
 let create_file t dnode ~name =
   check_name name;
-  if dir_lookup t dnode name <> None then fail Error.Exist;
+  let slot = dir_free_slot t dnode name in
   let node = ialloc t K_file in
   node.i_nlink <- 1;
   iupdate t node;
-  dir_enter t dnode ~name ~ino:node.ino;
+  dirent_write t dnode slot ~ino:node.ino ~name;
   node
 
 let make_dir t dnode ~name =
   check_name name;
-  if dir_lookup t dnode name <> None then fail Error.Exist;
+  let slot = dir_free_slot t dnode name in
   let node = ialloc t K_dir in
   node.i_nlink <- 2;
   iupdate t node;
-  dir_enter t node ~name:"." ~ino:node.ino;
-  dir_enter t node ~name:".." ~ino:dnode.ino;
-  dir_enter t dnode ~name ~ino:node.ino;
+  dirent_write t node 0 ~ino:node.ino ~name:".";
+  dirent_write t node 1 ~ino:dnode.ino ~name:"..";
+  dirent_write t dnode slot ~ino:node.ino ~name;
   dnode.i_nlink <- dnode.i_nlink + 1;
   iupdate t dnode;
   node
@@ -511,62 +554,83 @@ let link t ~from_dir ~from_name ~to_dir ~to_name =
   | Some (_, ino) ->
       let node = iget t ino in
       if node.i_kind = K_dir then fail Error.Isdir;
-      if dir_lookup t to_dir to_name <> None then fail Error.Exist;
-      dir_enter t to_dir ~name:to_name ~ino;
+      dirent_write t to_dir (dir_free_slot t to_dir to_name) ~ino ~name:to_name;
       node.i_nlink <- node.i_nlink + 1;
       iupdate t node
+
+(* One name fewer for a file: free it with its last name. *)
+let drop_link t node =
+  node.i_nlink <- node.i_nlink - 1;
+  if node.i_nlink <= 0 then ifree t node else iupdate t node
 
 let unlink t dnode ~name =
   match dir_lookup t dnode name with
   | None -> fail Error.Noent
-  | Some (_, ino) ->
+  | Some (idx, ino) ->
       let node = iget t ino in
       if node.i_kind = K_dir then fail Error.Isdir;
-      ignore (dir_remove t dnode ~name);
-      node.i_nlink <- node.i_nlink - 1;
-      if node.i_nlink <= 0 then ifree t node else iupdate t node
+      dir_clear t dnode idx;
+      drop_link t node
 
 let remove_dir t dnode ~name =
   if name = "." || name = ".." then fail Error.Inval;
   match dir_lookup t dnode name with
   | None -> fail Error.Noent
-  | Some (_, ino) ->
+  | Some (idx, ino) ->
       let node = iget t ino in
       if node.i_kind <> K_dir then fail Error.Notdir;
       if not (dir_is_empty t node) then fail Error.Notempty;
-      ignore (dir_remove t dnode ~name);
+      dir_clear t dnode idx;
       dnode.i_nlink <- dnode.i_nlink - 1;
       iupdate t dnode;
       node.i_nlink <- 0;
       ifree t node
 
+(* ufs_checkpath: Inval if directory [node] is [dir] or one of its
+   ancestors, found by walking ".." up to the root.  Moving [node] into
+   its own subtree would cut that subtree loose from the root. *)
+let rec check_path t node dir =
+  if dir.ino = node.ino then fail Error.Inval;
+  if dir.ino <> root_ino then
+    match dir_lookup t dir ".." with
+    | Some (_, parent) -> check_path t node (iget t parent)
+    | None -> fail Error.Io
+
 let rename t src_dir ~src_name dst_dir ~dst_name =
   check_name dst_name;
+  if List.mem src_name [ "."; ".." ] || List.mem dst_name [ "."; ".." ] then
+    fail Error.Inval;
   match dir_lookup t src_dir src_name with
   | None -> fail Error.Noent
-  | Some (_, ino) ->
+  | Some (src_idx, ino) -> (
       let node = iget t ino in
-      (match dir_lookup t dst_dir dst_name with
-      | Some (_, existing_ino) ->
-          if existing_ino = ino then ()
-          else begin
-            let existing = iget t existing_ino in
-            if existing.i_kind = K_dir then fail Error.Exist
-            else unlink t dst_dir ~name:dst_name
-          end
-      | None -> ());
-      if dir_lookup t dst_dir dst_name = None then dir_enter t dst_dir ~name:dst_name ~ino;
-      ignore (dir_remove t src_dir ~name:src_name);
-      if node.i_kind = K_dir && src_dir.ino <> dst_dir.ino then begin
-        (* Fix "..". *)
-        (match dir_lookup t node ".." with
-        | Some (idx, _) -> dirent_write t node idx ~ino:dst_dir.ino ~name:".."
-        | None -> ());
-        src_dir.i_nlink <- src_dir.i_nlink - 1;
-        dst_dir.i_nlink <- dst_dir.i_nlink + 1;
-        iupdate t src_dir;
-        iupdate t dst_dir
-      end
+      let moves_dir = node.i_kind = K_dir && src_dir.ino <> dst_dir.ino in
+      if moves_dir then check_path t node dst_dir;
+      let finish () =
+        dir_clear t src_dir src_idx;
+        if moves_dir then begin
+          (match dir_lookup t node ".." with
+          | Some (idx, _) -> dirent_write t node idx ~ino:dst_dir.ino ~name:".."
+          | None -> ());
+          src_dir.i_nlink <- src_dir.i_nlink - 1;
+          dst_dir.i_nlink <- dst_dir.i_nlink + 1;
+          iupdate t src_dir;
+          iupdate t dst_dir
+        end
+      in
+      match dir_scan t dst_dir dst_name with
+      | Found (_, existing) when existing = ino ->
+          () (* both names are the same file: rename(2) does nothing *)
+      | Found (dst_idx, existing) ->
+          let existing = iget t existing in
+          if existing.i_kind = K_dir then fail Error.Exist;
+          (* ufs_rename rewrites the target entry in place. *)
+          dirent_write t dst_dir dst_idx ~ino ~name:dst_name;
+          drop_link t existing;
+          finish ()
+      | Free slot ->
+          dirent_write t dst_dir slot ~ino ~name:dst_name;
+          finish ())
 
 (* ---- mkfs / mount ---- *)
 
@@ -605,8 +669,8 @@ let newfs dev =
   in
   Hashtbl.replace t.icache root_ino root;
   iupdate t root;
-  dir_enter t root ~name:"." ~ino:root_ino;
-  dir_enter t root ~name:".." ~ino:root_ino;
+  dirent_write t root 0 ~ino:root_ino ~name:".";
+  dirent_write t root 1 ~ino:root_ino ~name:"..";
   Buf.sync bc;
   t
 

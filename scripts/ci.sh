@@ -47,7 +47,9 @@
 #             under 1/100 of the scan (was eventsmoke).
 #   file      every row byte-exact; pipelined ka+sendfile >= 3x
 #             close-per-request at 10k requests; warm sendfile rows copy
-#             no body bytes.
+#             no body bytes; rows with bodies <= 16 KB make no more
+#             buffer-cache lookups per response than the directory's
+#             blocks plus the body's.
 # Every number in the nine files is virtual time and the runs leave the
 # SMP and event-core knobs at their defaults, so a change that only makes
 # the simulator cheaper on the host must leave all nine untouched.

@@ -269,6 +269,336 @@ let prop_fs_model =
       && List.sort compare (Ffs.dir_entries fs root)
          = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model []))
 
+(* ---- directories: rename edge cases, lookup cost, and a slot-exact
+   differential model ---- *)
+
+let attempt f = match f () with v -> Ok v | exception Ffs.Fs_error e -> Error e
+
+let error = Alcotest.testable (fun ppf e -> Format.pp_print_string ppf (Error.to_string e)) ( = )
+
+let lookup_ino fs dir name = Option.map snd (Ffs.dir_lookup fs dir name)
+
+(* rename(2): when both names reach the same inode, rename does nothing. *)
+let test_rename_same_inode () =
+  let fs = Ffs.newfs (mem_dev ()) in
+  let root = Ffs.root fs in
+  let a = Ffs.create_file fs root ~name:"a" in
+  Ffs.rename fs root ~src_name:"a" root ~dst_name:"a";
+  Alcotest.(check (option int)) "a -> a keeps a" (Some a.Ffs.ino) (lookup_ino fs root "a");
+  Alcotest.(check int) "a -> a keeps nlink" 1 a.Ffs.i_nlink;
+  let b = Ffs.create_file fs root ~name:"b" in
+  Ffs.link fs ~from_dir:root ~from_name:"b" ~to_dir:root ~to_name:"c";
+  Ffs.rename fs root ~src_name:"b" root ~dst_name:"c";
+  Alcotest.(check (list string)) "b -> c (a hard link) keeps both" [ "a"; "b"; "c" ]
+    (Ffs.dir_entries fs root);
+  Alcotest.(check int) "b -> c keeps nlink" 2 b.Ffs.i_nlink;
+  let d = Ffs.make_dir fs root ~name:"d" in
+  Ffs.rename fs root ~src_name:"d" root ~dst_name:"d";
+  Alcotest.(check (option int)) "d -> d keeps d" (Some d.Ffs.ino) (lookup_ino fs root "d");
+  Alcotest.(check (option int)) "d/.. is still the root" (Some Ffs.root_ino)
+    (lookup_ino fs d "..");
+  Alcotest.(check int) "root nlink counts d" 3 root.Ffs.i_nlink;
+  Alcotest.(check int) "d nlink" 2 d.Ffs.i_nlink
+
+(* ufs_checkpath: a directory cannot move into its own subtree. *)
+let test_rename_into_subtree () =
+  let fs = Ffs.newfs (mem_dev ()) in
+  let root = Ffs.root fs in
+  let d = Ffs.make_dir fs root ~name:"d" in
+  let e = Ffs.make_dir fs d ~name:"e" in
+  Alcotest.(check (result unit error)) "d -> d/e/x" (Error Error.Inval)
+    (attempt (fun () -> Ffs.rename fs root ~src_name:"d" e ~dst_name:"x"));
+  Alcotest.(check (result unit error)) "d -> d/x" (Error Error.Inval)
+    (attempt (fun () -> Ffs.rename fs root ~src_name:"d" d ~dst_name:"x"));
+  Alcotest.(check (list string)) "d still in the root" [ "d" ] (Ffs.dir_entries fs root);
+  Alcotest.(check (list string)) "e still in d" [ "e" ] (Ffs.dir_entries fs d);
+  (* Moving up the tree is fine. *)
+  Ffs.rename fs d ~src_name:"e" root ~dst_name:"e";
+  Alcotest.(check (option int)) "e/.. is the root" (Some Ffs.root_ino) (lookup_ino fs e "..");
+  Alcotest.(check (list int)) "link counts follow e" [ 4; 2; 2 ]
+    [ root.Ffs.i_nlink; d.Ffs.i_nlink; e.Ffs.i_nlink ]
+
+(* A lookup through the glue pays its crossing and one buffer-cache hit
+   per directory block it scans, and copies nothing. *)
+let test_lookup_cost () =
+  let root = ok (Fs_glue.newfs (mem_dev ~mb:8 ())) in
+  (* "." and ".." plus 128 files: 130 entries, two 4 KB blocks. *)
+  for i = 0 to 127 do
+    ignore (ok (root.Io_if.d_create (Printf.sprintf "f%d" i)))
+  done;
+  let counts () =
+    let c = Cost.counters in
+    Cost.[ c.copies; c.copied_bytes; c.glue_crossings; c.bufcache_hits ]
+  in
+  let check what name want_hits =
+    let before = counts () in
+    ignore (ok (root.Io_if.d_lookup name));
+    Alcotest.(check (list int)) (what ^ ": copies, bytes, crossings, hits")
+      [ 0; 0; 1; want_hits ] (List.map2 ( - ) (counts ()) before)
+  in
+  check "second block" "f127" 2;
+  check "first block" "f0" 1
+
+(* The model keeps each directory as its slots on disk: [Some (name,
+   ino)] live, [None] a hole.  Inode numbers come from the file system
+   when it creates one; every other effect, and every error, the model
+   predicts. *)
+type dmodel = {
+  slots : (int, (string * int) option array) Hashtbl.t; (* dir ino -> slots *)
+  files : (int, int) Hashtbl.t; (* file ino -> nlink *)
+  top : int;
+}
+
+let m_dir m d = Hashtbl.find m.slots d
+let m_is_dir m ino = Hashtbl.mem m.slots ino
+
+let m_find m d name =
+  let s = m_dir m d in
+  let rec go i =
+    if i >= Array.length s then None
+    else match s.(i) with Some (n, ino) when n = name -> Some (i, ino) | _ -> go (i + 1)
+  in
+  go 0
+
+let m_free_slot m d =
+  let s = m_dir m d in
+  let rec go i = if i >= Array.length s || s.(i) = None then i else go (i + 1) in
+  go 0
+
+let m_set m d i e =
+  let s = m_dir m d in
+  if i < Array.length s then s.(i) <- e else Hashtbl.replace m.slots d (Array.append s [| e |])
+
+let m_entries m d =
+  List.filter_map
+    (function Some (n, ino) when n <> "." && n <> ".." -> Some (n, ino) | _ -> None)
+    (Array.to_list (m_dir m d))
+
+let m_parent m d = snd (Option.get (m_find m d ".."))
+let rec m_below m node d = d = node || (d <> m.top && m_below m node (m_parent m d))
+
+let m_drop m ino =
+  let n = Hashtbl.find m.files ino - 1 in
+  if n = 0 then Hashtbl.remove m.files ino else Hashtbl.replace m.files ino n
+
+let m_path m d =
+  let rec go d acc =
+    if d = m.top then "/top" ^ acc
+    else
+      let p = m_parent m d in
+      let name = fst (List.find (fun (_, ino) -> ino = d) (m_entries m p)) in
+      go p ("/" ^ name ^ acc)
+  in
+  go d ""
+
+type dop =
+  | Create of int * int (* directory pick, name pick *)
+  | Unlink of int * int
+  | Mkdir of int * int
+  | Rmdir of int * int
+  | Link of int * int * int * int (* from dir, from name, to dir, to name *)
+  | Rename of int * int * int * int
+  | Sync
+
+(* Files f0..f179 and directories d0..d7; a directory pick past the live
+   directories means the top one, so most operations land there. *)
+let dnames = Array.append (Array.init 180 (Printf.sprintf "f%d")) (Array.init 8 (Printf.sprintf "d%d"))
+
+let show_dop = function
+  | Create (d, n) -> Printf.sprintf "create %d/%s" d dnames.(n)
+  | Unlink (d, n) -> Printf.sprintf "unlink %d/%s" d dnames.(n)
+  | Mkdir (d, n) -> Printf.sprintf "mkdir %d/%s" d dnames.(n)
+  | Rmdir (d, n) -> Printf.sprintf "rmdir %d/%s" d dnames.(n)
+  | Link (a, n, b, n') -> Printf.sprintf "link %d/%s %d/%s" a dnames.(n) b dnames.(n')
+  | Rename (a, n, b, n') -> Printf.sprintf "rename %d/%s %d/%s" a dnames.(n) b dnames.(n')
+  | Sync -> "sync"
+
+let gen_dop =
+  QCheck.Gen.(
+    let d = int_range 0 15 and n = int_range 0 (Array.length dnames - 1) in
+    let dn = int_range 180 (Array.length dnames - 1) in
+    frequency
+      [ 6, map2 (fun a b -> Create (a, b)) d n;
+        4, map2 (fun a b -> Unlink (a, b)) d n;
+        2, map2 (fun a b -> Mkdir (a, b)) d dn;
+        1, map2 (fun a b -> Rmdir (a, b)) d dn;
+        2, (fun st -> Link (d st, n st, d st, n st));
+        3, (fun st -> Rename (d st, n st, d st, n st));
+        (* onto itself, and a directory into a directory *)
+        1, map2 (fun a b -> Rename (a, b, a, b)) d n;
+        1, (fun st -> Rename (d st, dn st, d st, dn st));
+        1, return Sync ])
+
+(* The model's verdict on [op]: the error the file system must return,
+   or the update to make once it has succeeded (given the inode it
+   allocated, if any). *)
+let m_step m dir_of op =
+  let ( let* ) = Result.bind in
+  let lookup d n = Option.to_result ~none:Error.Noent (m_find m d dnames.(n)) in
+  let absent d n = if m_find m d dnames.(n) = None then Ok () else Error Error.Exist in
+  let enter d n ino = m_set m d (m_free_slot m d) (Some (dnames.(n), ino)) in
+  match op with
+  | Sync -> Ok ignore
+  | Create (d, n) ->
+      let d = dir_of d in
+      let* () = absent d n in
+      Ok (fun ino -> enter d n ino; Hashtbl.replace m.files ino 1)
+  | Mkdir (d, n) ->
+      let d = dir_of d in
+      let* () = absent d n in
+      Ok (fun ino ->
+          enter d n ino;
+          Hashtbl.replace m.slots ino [| Some (".", ino); Some ("..", d) |])
+  | Unlink (d, n) ->
+      let d = dir_of d in
+      let* i, ino = lookup d n in
+      if m_is_dir m ino then Error Error.Isdir
+      else Ok (fun _ -> m_set m d i None; m_drop m ino)
+  | Rmdir (d, n) ->
+      let d = dir_of d in
+      let* i, ino = lookup d n in
+      if not (m_is_dir m ino) then Error Error.Notdir
+      else if m_entries m ino <> [] then Error Error.Notempty
+      else Ok (fun _ -> m_set m d i None; Hashtbl.remove m.slots ino)
+  | Link (d, n, d', n') ->
+      let d = dir_of d and d' = dir_of d' in
+      let* _, ino = lookup d n in
+      if m_is_dir m ino then Error Error.Isdir
+      else
+        let* () = absent d' n' in
+        Ok (fun _ -> enter d' n' ino; Hashtbl.replace m.files ino (Hashtbl.find m.files ino + 1))
+  | Rename (d, n, d', n') -> (
+      let d = dir_of d and d' = dir_of d' in
+      let* i, ino = lookup d n in
+      let moves_dir = m_is_dir m ino && d <> d' in
+      if moves_dir && m_below m ino d' then Error Error.Inval
+      else
+        let finish () =
+          m_set m d i None;
+          if moves_dir then m_set m ino 1 (Some ("..", d'))
+        in
+        match m_find m d' dnames.(n') with
+        | Some (_, e) when e = ino -> Ok ignore
+        | Some (_, e) when m_is_dir m e -> Error Error.Exist
+        | Some (j, e) ->
+            Ok (fun _ -> m_set m d' j (Some (dnames.(n'), ino)); m_drop m e; finish ())
+        | None -> Ok (fun _ -> enter d' n' ino; finish ()))
+
+let f_step fs dir_of op =
+  let dir d = Ffs.iget fs (dir_of d) in
+  attempt (fun () ->
+      match op with
+      | Sync -> Ffs.sync fs; 0
+      | Create (d, n) -> (Ffs.create_file fs (dir d) ~name:dnames.(n)).Ffs.ino
+      | Mkdir (d, n) -> (Ffs.make_dir fs (dir d) ~name:dnames.(n)).Ffs.ino
+      | Unlink (d, n) -> Ffs.unlink fs (dir d) ~name:dnames.(n); 0
+      | Rmdir (d, n) -> Ffs.remove_dir fs (dir d) ~name:dnames.(n); 0
+      | Link (d, n, d', n') ->
+          Ffs.link fs ~from_dir:(dir d) ~from_name:dnames.(n) ~to_dir:(dir d')
+            ~to_name:dnames.(n');
+          0
+      | Rename (d, n, d', n') ->
+          Ffs.rename fs (dir d) ~src_name:dnames.(n) (dir d') ~dst_name:dnames.(n');
+          0)
+
+let used_inodes fs =
+  let sb = fs.Ffs.sb in
+  let n = ref 0 in
+  for i = 0 to sb.Ffs.ninodes - 1 do
+    if Ffs.bitmap_get fs ~start:sb.Ffs.ibmap_start i then incr n
+  done;
+  !n
+
+let prop_dir_model =
+  QCheck.Test.make ~name:"ffs: directory ops agree with a slot-exact model" ~count:12
+    QCheck.(
+      pair (int_range 120 170)
+        (list_of_size Gen.(int_range 100 250) (make ~print:show_dop gen_dop)))
+    (fun (prefill, ops) ->
+      (* 16 MB: 512 inodes, room for every file the ops can create. *)
+      let dev = mem_dev ~mb:16 () in
+      let fs = Ffs.newfs dev in
+      let root = Ffs.root fs in
+      let blocks0 = Ffs.free_blocks fs and inodes0 = used_inodes fs in
+      let top = (Ffs.make_dir fs root ~name:"top").Ffs.ino in
+      let m = { slots = Hashtbl.create 16; files = Hashtbl.create 256; top } in
+      Hashtbl.replace m.slots top [| Some (".", top); Some ("..", Ffs.root_ino) |];
+      let seen = Hashtbl.create 256 in
+      let dir_of pick =
+        let dirs = List.sort compare (Hashtbl.fold (fun d _ acc -> d :: acc) m.slots []) in
+        if pick < List.length dirs then List.nth dirs pick else top
+      in
+      (* Every name seen so far resolves in every directory as the model
+         says: same slot, same inode.  The slot is what shows a create
+         that did not fill the first hole. *)
+      let check_lookups op =
+        Hashtbl.iter
+          (fun d _ ->
+            let dnode = Ffs.iget fs d in
+            Hashtbl.iter
+              (fun name () ->
+                if Ffs.dir_lookup fs dnode name <> m_find m d name then
+                  QCheck.Test.fail_reportf "after %s: lookup %s in %s" (show_dop op) name
+                    (m_path m d))
+              seen)
+          m.slots
+      in
+      (* After sync, the directories read back the same through Ffs and
+         through fsread's own parse of the image, and link counts agree. *)
+      let check_image () =
+        Ffs.sync fs;
+        Hashtbl.iter
+          (fun d _ ->
+            let want = List.map fst (m_entries m d) in
+            let subdirs = List.filter (fun (_, i) -> m_is_dir m i) (m_entries m d) in
+            if Ffs.dir_entries fs (Ffs.iget fs d) <> want then
+              QCheck.Test.fail_reportf "dir_entries %s" (m_path m d);
+            if Fsread.list_dir dev (m_path m d) <> Ok want then
+              QCheck.Test.fail_reportf "fsread list_dir %s" (m_path m d);
+            if (Ffs.iget fs d).Ffs.i_nlink <> 2 + List.length subdirs then
+              QCheck.Test.fail_reportf "nlink of %s" (m_path m d))
+          m.slots;
+        Hashtbl.iter
+          (fun ino n ->
+            if (Ffs.iget fs ino).Ffs.i_nlink <> n then
+              QCheck.Test.fail_reportf "nlink of inode %d" ino)
+          m.files
+      in
+      let step op =
+        (match op with
+        | Create (_, n) | Unlink (_, n) | Mkdir (_, n) | Rmdir (_, n) ->
+            Hashtbl.replace seen dnames.(n) ()
+        | Link (_, n, _, n') | Rename (_, n, _, n') ->
+            Hashtbl.replace seen dnames.(n) ();
+            Hashtbl.replace seen dnames.(n') ()
+        | Sync -> ());
+        (match m_step m dir_of op, f_step fs dir_of op with
+        | Ok update, Ok ino -> update ino
+        | Error e, Error e' when e = e' -> ()
+        | want, got ->
+            let show = function Ok _ -> "ok" | Error e -> Error.to_string e in
+            QCheck.Test.fail_reportf "%s: model %s, ffs %s" (show_dop op) (show want)
+              (show got));
+        if op = Sync then check_image () else check_lookups op
+      in
+      List.iter step (List.init prefill (fun i -> Create (99, i)) @ ops @ [ Sync ]);
+      (* Remove everything: blocks and inodes return to the baseline. *)
+      let rec empty d =
+        List.iter
+          (fun (name, ino) ->
+            if m_is_dir m ino then begin
+              empty ino;
+              Ffs.remove_dir fs (Ffs.iget fs d) ~name
+            end
+            else Ffs.unlink fs (Ffs.iget fs d) ~name)
+          (m_entries m d)
+      in
+      empty top;
+      Ffs.remove_dir fs root ~name:"top";
+      Ffs.dir_entries fs root = []
+      && Ffs.free_blocks fs = blocks0
+      && used_inodes fs = inodes0)
+
 (* ---- fsread + diskpart over the same image ---- *)
 
 let test_fsread_sees_ffs () =
@@ -319,5 +649,9 @@ let suite =
     Alcotest.test_case "error paths" `Quick test_errors;
     Alcotest.test_case "buffer cache" `Quick test_buffer_cache;
     QCheck_alcotest.to_alcotest prop_fs_model;
+    Alcotest.test_case "rename onto the same inode" `Quick test_rename_same_inode;
+    Alcotest.test_case "rename into own subtree" `Quick test_rename_into_subtree;
+    Alcotest.test_case "lookup cost: no copy, a hit a block" `Quick test_lookup_cost;
+    QCheck_alcotest.to_alcotest prop_dir_model;
     Alcotest.test_case "fsread over ffs image" `Quick test_fsread_sees_ffs;
     Alcotest.test_case "diskpart + fs + fsread" `Quick test_diskpart_and_fs ]
