@@ -67,11 +67,15 @@ let bufio_iid : bufio Iid.t = Iid.declare "oskit.bufio"
 type netio = {
   nio_unknown : Com.unknown;
   push : bufio -> (unit, Error.t) result;
-  push_v : bufio list -> (unit, Error.t) result;
+  push_v : bufio list -> (int, Error.t) result;
       (** Vectored push: deliver a bounded burst of packets through ONE
           boundary crossing (the NAPI-style receive batch behind
-          Cost.config.rx_batch).  Semantically identical to pushing each
-          buffer in order; only the per-burst dispatch overhead differs. *)
+          Cost.config.rx_batch, and the transmit train of one
+          tcp_output).  Semantically identical to pushing each buffer in
+          order until one fails; only the per-burst dispatch overhead
+          differs.  Like sendmmsg, returns how many buffers, from the
+          front, were taken, and an error only when not even the first
+          was. *)
 }
 
 let netio_iid : netio Iid.t = Iid.declare "oskit.netio"

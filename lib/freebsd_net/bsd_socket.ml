@@ -320,6 +320,13 @@ let netstat st =
   line "  %d replies sent" arp.Arp.replies_sent;
   line "  %d waiters dropped (queue full)" arp.Arp.waiters_dropped;
   line "  %d resolutions abandoned (retries exhausted)" arp.Arp.resolve_failures;
+  let ifp = st.ifp in
+  line "interface:";
+  line "  %d packets received (%d dropped for want of an mbuf)" ifp.Netif.if_ipackets
+    ifp.Netif.if_idrops;
+  line "  %d packets sent (%d not sent by the driver)" ifp.Netif.if_opackets
+    ifp.Netif.if_oerrors;
+  line "  %d frames queued in %d transmit trains" ifp.Netif.if_queued ifp.Netif.if_starts;
   line "event:";
   line "  %d timer-wheel arms (%d cancels, %d fires, %d cascades)"
     Cost.counters.Cost.wheel_arms Cost.counters.Cost.wheel_cancels

@@ -106,9 +106,10 @@ let open_ether_if stack (ed : Io_if.etherdev) =
             (* The batched receive: one glue crossing amortized over the
                burst; per-frame unwrap and protocol input are unchanged. *)
             Cost.charge_glue_crossing ();
-            Cost.count_rx_poll ~frames:(List.length ios);
+            let frames = List.length ios in
+            Cost.count_rx_poll ~frames;
             List.iter input_one ios;
-            Ok ()) }
+            Ok frames) }
     and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.netio_iid, fun () -> view ()) ]))
     and unknown () = Lazy.force obj in
     view ()
@@ -116,13 +117,34 @@ let open_ether_if stack (ed : Io_if.etherdev) =
   match ed.Io_if.ed_open ~recv:recv_netio with
   | Result.Error _ as e -> e
   | Ok xmit ->
-      ifp.Netif.if_xmit <-
-        (* The crossing is charged by the driver's xmit netio.  The push is
-           synchronous: once it returns the frame is on the wire (or
-           dropped) and the chain can be retired. *)
-        (fun m ->
-          ignore (xmit.Io_if.push (bufio_of_mbuf m));
-          Mbuf.m_freem m);
+      (* The crossing is charged by the driver's xmit netio.  Its pushes
+         are synchronous: once one returns each frame is on the wire or
+         refused (counted in if_oerrors), and the chains can be retired. *)
+      let xmit_one m =
+        (match xmit.Io_if.push (bufio_of_mbuf m) with
+        | Ok () -> ()
+        | Result.Error _ -> ifp.Netif.if_oerrors <- ifp.Netif.if_oerrors + 1);
+        Mbuf.m_freem m
+      in
+      ifp.Netif.if_xmit <- xmit_one;
+      ifp.Netif.if_start <-
+        Some
+          (fun () ->
+            (* The batched transmit: a train of two or more frames crosses
+               in one vectored push, one glue crossing for all of it. *)
+            let ms = List.of_seq (Queue.to_seq ifp.Netif.if_snd) in
+            Queue.clear ifp.Netif.if_snd;
+            match ms with
+            | [ m ] -> xmit_one m
+            | ms ->
+                let frames = List.length ms in
+                let sent =
+                  match xmit.Io_if.push_v (List.map bufio_of_mbuf ms) with
+                  | Ok n -> n
+                  | Result.Error _ -> 0
+                in
+                ifp.Netif.if_oerrors <- ifp.Netif.if_oerrors + frames - sent;
+                List.iter Mbuf.m_freem ms);
       Ok ()
 
 (* ---- COM socket export ---- *)

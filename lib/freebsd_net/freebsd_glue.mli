@@ -25,7 +25,11 @@ val init : Machine.t -> stack
     [Posix.set_socket_factory]. *)
 val socket_factory : stack -> Io_if.socket_factory
 
-(** Bind the stack to an Ethernet device via COM netio exchange. *)
+(** Bind the stack to an Ethernet device via COM netio exchange.  The
+    interface's [if_start] hands a train of frames (one [tcp_output],
+    batched when {!Cost.config}[.sg_tx] is on) to the driver in one
+    vectored [push_v]; frames the driver refuses are counted in
+    [if_oerrors]. *)
 val open_ether_if : stack -> Io_if.etherdev -> (unit, Error.t) result
 
 val ifconfig : stack -> addr:int32 -> mask:int32 -> unit

@@ -17,17 +17,29 @@ type ifnet = {
   mutable if_mask : int32;
   mutable if_mtu : int; (* payload above the ether header *)
   mutable if_xmit : Mbuf.mbuf -> unit; (* full frame to the driver *)
+  (* The donor's send queue and start routine.  While a train is open
+     ([if_train] > 0) ether_output queues frames on [if_snd] instead of
+     handing each to [if_xmit]; closing the outermost train calls
+     [if_start], which must take every queued frame.  A driver that
+     installs no start routine is never batched. *)
+  if_snd : Mbuf.mbuf Queue.t;
+  mutable if_start : (unit -> unit) option;
+  mutable if_train : int; (* open trains, nested *)
   mutable if_protos : (int * (Mbuf.mbuf -> unit)) list; (* ethertype -> input *)
   mutable if_ipackets : int;
   mutable if_opackets : int;
   mutable if_idrops : int; (* input frames dropped for want of an mbuf *)
+  mutable if_oerrors : int; (* output frames the driver did not send *)
+  mutable if_starts : int; (* if_start drains *)
+  mutable if_queued : int; (* frames those drains carried *)
 }
 
 let create ~name ~hwaddr =
   if String.length hwaddr <> 6 then invalid_arg "Netif.create: hwaddr";
   { if_name = name; if_hwaddr = hwaddr; if_addr = 0l; if_mask = 0l; if_mtu = 1500;
-    if_xmit = (fun _ -> ()); if_protos = []; if_ipackets = 0; if_opackets = 0;
-    if_idrops = 0 }
+    if_xmit = (fun _ -> ()); if_snd = Queue.create (); if_start = None; if_train = 0;
+    if_protos = []; if_ipackets = 0; if_opackets = 0; if_idrops = 0; if_oerrors = 0;
+    if_starts = 0; if_queued = 0 }
 
 let set_proto_input ifp ~ethertype handler =
   ifp.if_protos <- (ethertype, handler) :: List.remove_assoc ethertype ifp.if_protos
@@ -48,7 +60,32 @@ let ether_output ifp m ~dst_mac ~ethertype =
   Bytes.set d (o + 12) (Char.chr (ethertype lsr 8));
   Bytes.set d (o + 13) (Char.chr (ethertype land 0xff));
   ifp.if_opackets <- ifp.if_opackets + 1;
-  ifp.if_xmit m
+  if ifp.if_train > 0 then begin
+    ifp.if_queued <- ifp.if_queued + 1;
+    Queue.push m ifp.if_snd
+  end
+  else ifp.if_xmit m
+
+(* Transmit trains.  A caller that emits a run of frames without sleeping
+   (one tcp_output) brackets it with [train_open]/[train_close]; the
+   frames reach the driver in one [if_start] when the outermost train
+   closes.  Batching is the glue's modern transmit path, so a train opens
+   only with [Cost.config.sg_tx] on and a start routine installed;
+   [train_open] says whether it did, and only then may the caller close. *)
+let train_open ifp =
+  Cost.config.Cost.sg_tx && Option.is_some ifp.if_start
+  && begin
+       ifp.if_train <- ifp.if_train + 1;
+       true
+     end
+
+let train_close ifp =
+  ifp.if_train <- ifp.if_train - 1;
+  match ifp.if_start with
+  | Some start when ifp.if_train = 0 && not (Queue.is_empty ifp.if_snd) ->
+      ifp.if_starts <- ifp.if_starts + 1;
+      start ()
+  | _ -> ()
 
 (* ether_input: m is the full frame.  Consumes the chain: protocol inputs
    take ownership, drops retire it. *)

@@ -675,7 +675,24 @@ and send_synack_raw t ~laddr ~lport ~raddr ~rport ~iss ~irs ~mss =
 (* ------------------------------------------------------------------ *)
 (* tcp_output                                                          *)
 
+(* The donor's tcp_output never sleeps, so one call is one transmit
+   train: with batching on, the segments it emits queue on the interface
+   and reach the driver in a single start when the outermost call returns
+   or raises (a nested call, e.g. for a segment looped back to a local
+   socket, only deepens the train).  Off, the body runs bare: no handler,
+   no closure. *)
 and tcp_output t pcb =
+  let ifp = t.ip.Ip.ifp in
+  if Netif.train_open ifp then begin
+    match tcp_output_segs t pcb with
+    | () -> Netif.train_close ifp
+    | exception e ->
+        Netif.train_close ifp;
+        raise e
+  end
+  else tcp_output_segs t pcb
+
+and tcp_output_segs t pcb =
   let sendable_state =
     match pcb.t_state with
     | Established | Close_wait | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait ->
@@ -739,7 +756,7 @@ and tcp_output t pcb =
         if seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
         if pcb.tm_rexmt = 0 then set_rexmt t pcb pcb.t_rxtcur
       end;
-      if len > 0 && not all_data_sent then tcp_output t pcb
+      if len > 0 && not all_data_sent then tcp_output_segs t pcb
     end
   end
   else if

@@ -135,11 +135,19 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
             xmit_one io);
         push_v =
           (fun ios ->
-            (* One crossing carries the whole burst. *)
+            (* One crossing carries the whole burst.  As with sendmmsg,
+               the first frame the driver refuses ends it: the count says
+               how many went, and the error is reported only when none
+               did. *)
             Cost.charge_glue_crossing ();
-            List.fold_left
-              (fun acc io -> match acc with Ok () -> xmit_one io | e -> e)
-              (Ok ()) ios) }
+            let rec go sent = function
+              | [] -> Ok sent
+              | io :: rest -> (
+                  match xmit_one io with
+                  | Ok () -> go (sent + 1) rest
+                  | Result.Error e -> if sent = 0 then Result.Error e else Ok sent)
+            in
+            go 0 ios) }
     and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.netio_iid, fun () -> view ()) ]))
     and unknown () = Lazy.force obj in
     view ()

@@ -47,9 +47,11 @@ type config = {
   mutable sg_tx : bool;
       (** scatter-gather transmit across the mbuf->skbuff glue: when on, a
           discontiguous chain crosses the boundary as an iovec instead of
-          being flattened into a fresh contiguous sk_buff.  Default [false]
-          so the Table 1/2 shapes stay paper-faithful (OSKit send pays the
-          flatten copy, as measured on the 1997 testbed). *)
+          being flattened into a fresh contiguous sk_buff, and the frames
+          of one [tcp_output] cross to the driver as one train, in one
+          vectored push.  Default [false] so the Table 1/2 shapes stay
+          paper-faithful (OSKit send pays the flatten copy and a crossing
+          per frame, as measured on the 1997 testbed). *)
   mutable tcp_fastpath : bool;
       (** Van Jacobson header prediction on the TCP receive side (both
           stacks): an in-order segment from the expected peer that carries

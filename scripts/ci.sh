@@ -22,7 +22,9 @@
 # Full sections (each writes its BENCH_*.json and asserts its gates on
 # the rows it just wrote; the former *smoke runs that repeated a row are
 # now these gates):
-#   table1    the paper's Table 1 and the sg column.
+#   table1    the paper's Table 1 and the sg column; the OSKit sg send
+#             makes strictly fewer glue crossings per 1000 packets than
+#             the default send (a tcp_output train crosses once).
 #   table2    the paper's Table 2.
 #   rtt       the 128-client fast-path http run is byte-exact and batches
 #             more than one frame per poll (was rttsmoke).

@@ -252,6 +252,217 @@ let test_sg_ttcp_byte_exact_under_loss () =
       Alcotest.(check int) "sg path carried the data" 0 Cost.counters.Cost.linearized_xmits;
       Alcotest.(check bool) "sg xmits happened" true (Cost.counters.Cost.sg_xmits > 0))
 
+(* ---- transmit trains: one tcp_output, one crossing ---- *)
+
+let ip = Oskit.ip_of_string
+let mask = ip "255.255.255.0"
+
+(* Clientos.oskit_host, except that [shim] wraps the transmit netio the
+   driver hands back. *)
+let oskit_stack ?(shim = Fun.id) (host : Clientos.host) ~addr =
+  Machine.run_in host.Clientos.machine (fun () ->
+      Linux_glue.init_ethernet ();
+      let osenv = Osenv.create host.Clientos.machine in
+      ignore (Fdev.probe osenv);
+      let stack = Freebsd_glue.init host.Clientos.machine in
+      match Fdev.lookup osenv Io_if.etherdev_iid with
+      | [] -> Alcotest.fail "no ethernet device"
+      | ed :: _ ->
+          let ed =
+            { ed with Io_if.ed_open = (fun ~recv -> Result.map shim (ed.Io_if.ed_open ~recv)) }
+          in
+          ok (Freebsd_glue.open_ether_if stack ed);
+          Freebsd_glue.ifconfig stack ~addr ~mask;
+          stack, ed)
+
+type pair = {
+  tb : Clientos.testbed;
+  stack : Bsd_socket.stack; (* the OSKit sender's *)
+  ed : Io_if.etherdev; (* and its Linux driver *)
+  sock : Bsd_socket.tsock; (* its connected socket *)
+  received : Buffer.t; (* what the FreeBSD receiver has read *)
+  eof : bool ref;
+}
+
+(* An OSKit sender connected to a native FreeBSD receiver that reads to
+   end of stream. *)
+let connected_pair ?shim ?netem () =
+  Clientos.reset_globals ();
+  Fdev.clear_drivers ();
+  let tb = Clientos.make_testbed () in
+  Option.iter (fun em -> Wire.set_netem tb.Clientos.wire (Some em)) netem;
+  let stack, ed = oskit_stack ?shim tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let peer = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
+  let received = Buffer.create 4096 and eof = ref false and sock = ref None in
+  Clientos.spawn tb.Clientos.host_b ~name:"receiver" (fun () ->
+      let l = Bsd_socket.tcp_socket peer in
+      ok (Bsd_socket.so_bind l ~port:7001);
+      ok (Bsd_socket.so_listen l ~backlog:1);
+      let c = ok (Bsd_socket.so_accept l) in
+      let buf = Bytes.create 16384 in
+      let rec loop () =
+        match ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:16384) with
+        | 0 -> eof := true
+        | n ->
+            Buffer.add_subbytes received buf 0 n;
+            loop ()
+      in
+      loop ());
+  Clientos.spawn tb.Clientos.host_a ~name:"sender" (fun () ->
+      Kclock.sleep_ns 2_000_000;
+      let s = Bsd_socket.tcp_socket stack in
+      ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:7001);
+      sock := Some s);
+  Clientos.run tb ~until:(fun () -> !sock <> None);
+  { tb; stack; ed; sock = Option.get !sock; received; eof }
+
+let pattern n = String.init n (fun i -> Char.chr ((i * 7 + (i / 251)) land 0xff))
+
+let train_idle p =
+  Queue.is_empty p.stack.Bsd_socket.ifp.Netif.if_snd && p.stack.Bsd_socket.ifp.Netif.if_train = 0
+
+(* Send [len] bytes on the sender's machine, outside any thread (the send
+   buffer has room, so nothing sleeps), with the congestion window open
+   so one tcp_output emits the whole train. *)
+let send_now p data =
+  Machine.run_in p.tb.Clientos.host_a.Clientos.machine (fun () ->
+      p.sock.Bsd_socket.pcb.Tcp.snd_cwnd <- 64 * 1024;
+      Bsd_socket.so_send p.sock ~buf:(Bytes.of_string data) ~pos:0 ~len:(String.length data))
+
+let drained p =
+  let pcb = p.sock.Bsd_socket.pcb in
+  Clientos.run p.tb ~until:(fun () -> pcb.Tcp.snd_una = pcb.Tcp.snd_max)
+
+let finish p =
+  Machine.run_in p.tb.Clientos.host_a.Clientos.machine (fun () ->
+      ignore (Bsd_socket.so_shutdown p.sock));
+  Clientos.run p.tb ~until:(fun () -> !(p.eof))
+
+let test_train_one_crossing () =
+  let p = connected_pair () in
+  let k = 4 in
+  let mss = p.sock.Bsd_socket.pcb.Tcp.t_maxseg in
+  let train sg data =
+    with_sg_tx sg (fun () ->
+        let c = Cost.counters in
+        let crossings = c.Cost.glue_crossings and sg_xmits = c.Cost.sg_xmits in
+        Alcotest.(check int) "whole write taken" (String.length data) (ok (send_now p data));
+        Alcotest.(check bool) "if_snd empty once tcp_output returns" true (train_idle p);
+        let r = c.Cost.glue_crossings - crossings, c.Cost.sg_xmits - sg_xmits in
+        drained p;
+        r)
+  in
+  let a = pattern (2 * k * mss) in
+  let crossings, sg_xmits = train false (String.sub a 0 (k * mss)) in
+  Alcotest.(check int) "sg off: one crossing per segment" k crossings;
+  Alcotest.(check int) "sg off: nothing gathered" 0 sg_xmits;
+  let starts = p.stack.Bsd_socket.ifp.Netif.if_starts in
+  let crossings, sg_xmits = train true (String.sub a (k * mss) (k * mss)) in
+  Alcotest.(check int) "sg on: one crossing for the train" 1 crossings;
+  Alcotest.(check int) "sg on: every segment gathered" k sg_xmits;
+  Alcotest.(check int) "sg on: one if_start" (starts + 1) p.stack.Bsd_socket.ifp.Netif.if_starts;
+  finish p;
+  Alcotest.(check string) "both trains delivered in order" a (Buffer.contents p.received)
+
+(* Frames the driver refuses are counted, one by one, whether they went
+   as a train (push_v stops at the first refusal and reports how many it
+   sent) or alone (push). *)
+let test_refused_frames_counted () =
+  with_sg_tx true (fun () ->
+      let p = connected_pair () in
+      let ifp = p.stack.Bsd_socket.ifp in
+      let mss = p.sock.Bsd_socket.pcb.Tcp.t_maxseg in
+      Machine.run_in p.tb.Clientos.host_a.Clientos.machine (fun () ->
+          ok (p.ed.Io_if.ed_close ()));
+      ignore (ok (send_now p (pattern (3 * mss))));
+      Alcotest.(check int) "a refused train counts each frame" 3 ifp.Netif.if_oerrors;
+      ignore (ok (send_now p (pattern mss)));
+      Alcotest.(check int) "a refused lone frame counts once" 4 ifp.Netif.if_oerrors;
+      Alcotest.(check bool) "if_snd empty" true (train_idle p);
+      let netstat = Bsd_socket.netstat p.stack in
+      Alcotest.(check bool) "netstat reports the refusals" true
+        (Test_overload.contains netstat "(4 not sent by the driver)");
+      Alcotest.(check bool) "netstat reports the trains" true
+        (Test_overload.contains netstat
+           (Printf.sprintf "%d frames queued in %d transmit trains" ifp.Netif.if_queued
+              ifp.Netif.if_starts)))
+
+(* A driver whose transmit takes a descriptor from a packet pool: while
+   [starved], that allocation runs with alloc_fail_prob = 1 and raises
+   Memfault.Nomem out of the push — out of the train's drain, and so out
+   of tcp_output itself. *)
+let test_train_drained_on_raise () =
+  let starved = ref false in
+  let descriptors = Bpool.create ~size:64 () in
+  let take_descriptor () =
+    if !starved then
+      Cost.with_config
+        (fun c -> c.Cost.alloc_fail_prob <- 1.0)
+        (fun () -> Bpool.put descriptors (Bpool.get descriptors))
+  in
+  let shim (n : Io_if.netio) =
+    { n with
+      Io_if.push = (fun io -> take_descriptor (); n.Io_if.push io);
+      push_v = (fun ios -> take_descriptor (); n.Io_if.push_v ios) }
+  in
+  with_sg_tx true (fun () ->
+      let p = connected_pair ~shim () in
+      let data = pattern (3 * p.sock.Bsd_socket.pcb.Tcp.t_maxseg) in
+      starved := true;
+      (match send_now p data with
+      | _ -> Alcotest.fail "the starved driver did not raise"
+      | exception Memfault.Nomem -> ());
+      starved := false;
+      Alcotest.(check bool) "if_snd empty after tcp_output raised" true (train_idle p);
+      (* The train never reached the wire; retransmission repairs it. *)
+      finish p;
+      Alcotest.(check string) "the lost train is retransmitted byte-exact" data
+        (Buffer.contents p.received);
+      Alcotest.(check bool) "if_snd empty at the end" true (train_idle p))
+
+(* Byte-exact delivery with batching on, over write sizes and 0-3% loss;
+   a probe every 50 us of virtual time checks that no frame is ever left
+   queued between events. *)
+let train_lossy_byte_exact =
+  QCheck.Test.make ~count:8 ~name:"sg trains: byte-exact over write sizes x 0-3% loss"
+    (* No shrinker: each case is a whole simulated transfer. *)
+    (QCheck.make
+       ~print:(fun (w, l) -> Printf.sprintf "%d-byte writes, %d%% loss" w l)
+       QCheck.Gen.(pair (int_range 1 12000) (int_range 0 3)))
+    (fun (write, loss_pct) ->
+      with_sg_tx true (fun () ->
+          let em =
+            Netem.create ~seed:(write + loss_pct)
+              ~policy:{ Netem.default_policy with loss = float_of_int loss_pct /. 100.0 }
+              ()
+          in
+          let p = connected_pair ~netem:em () in
+          let total = 48 * 1024 in
+          let data = pattern total in
+          let machine = p.tb.Clientos.host_a.Clientos.machine in
+          let idle = ref true in
+          let rec probe () =
+            ignore
+              (Machine.after machine 50_000 (fun () ->
+                   if not (train_idle p) then idle := false;
+                   if not !(p.eof) then probe ()))
+          in
+          Machine.run_in machine probe;
+          Clientos.spawn p.tb.Clientos.host_a ~name:"writer" (fun () ->
+              let buf = Bytes.of_string data in
+              let rec go pos =
+                if pos < total then begin
+                  let n = min write (total - pos) in
+                  ignore (ok (Bsd_socket.so_send p.sock ~buf ~pos ~len:n));
+                  go (pos + n)
+                end
+              in
+              go 0;
+              ignore (Bsd_socket.so_shutdown p.sock));
+          Clientos.run p.tb ~until:(fun () -> !(p.eof));
+          Buffer.contents p.received = data && !idle
+          && p.stack.Bsd_socket.ifp.Netif.if_starts > 0))
+
 let suite =
   [ QCheck_alcotest.to_alcotest cksum_frags_equiv;
     Alcotest.test_case "iovec checksum: odd fragment boundaries" `Quick
@@ -268,4 +479,11 @@ let suite =
     Alcotest.test_case "blkio: aligned write is direct, no copy" `Quick
       test_blkio_aligned_write_no_copy;
     Alcotest.test_case "ttcp --sg under 3% loss is byte-exact" `Quick
-      test_sg_ttcp_byte_exact_under_loss ]
+      test_sg_ttcp_byte_exact_under_loss;
+    Alcotest.test_case "train: one transmit crossing with sg on, one per segment off" `Quick
+      test_train_one_crossing;
+    Alcotest.test_case "train: refused frames counted in if_oerrors" `Quick
+      test_refused_frames_counted;
+    Alcotest.test_case "train: if_snd drained when tcp_output raises" `Quick
+      test_train_drained_on_raise;
+    QCheck_alcotest.to_alcotest train_lossy_byte_exact ]
