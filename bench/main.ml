@@ -89,6 +89,9 @@ let table1 () =
   and sg_crossings_per_kpkt =
     Row.int "sg_crossings_per_kpkt" ~t:("%14d", "crossings/kpkt")
       (sg (fun t -> t.Netbench.crossings_per_kpkt))
+  and sg_wire_per_xmit =
+    Row.float "sg_wire_per_xmit" ~t:("%13.2f", "wire/xmit")
+      (sg (fun t -> t.Netbench.wire_per_xmit))
   in
   let paper = [ system; send_mbit; recv_mbit ] in
   let rows =
@@ -107,7 +110,7 @@ let table1 () =
   let sg_table =
     [ system; send_mbit; send_sg_mbit; sg_sg_xmits; sg_linearized_xmits;
       Row.show "%12d" "copies/kpkt" (sg (fun t -> t.Netbench.copies_per_kpkt));
-      sg_crossings_per_kpkt ]
+      sg_crossings_per_kpkt; sg_wire_per_xmit ]
   in
   Row.header sg_table;
   List.iter (Row.print sg_table) rows;
@@ -130,7 +133,8 @@ let table1 () =
            int "send_sg_xmits" (send (fun t -> t.Netbench.sg_xmits));
            int "send_linearized_xmits" (send (fun t -> t.Netbench.linearized_xmits));
            int "send_checksummed_bytes" (send (fun t -> t.Netbench.checksummed_bytes));
-           send_sg_mbit; sg_sg_xmits; sg_linearized_xmits; sg_crossings_per_kpkt ]
+           send_sg_mbit; sg_sg_xmits; sg_linearized_xmits; sg_crossings_per_kpkt;
+           sg_wire_per_xmit ]
        rows);
   (* One tcp_output's segment train crosses the glue in one push, so the
      sg send path crosses less often per packet than the per-frame
@@ -139,6 +143,16 @@ let table1 () =
     (fun rows ->
       let r = List.find (fun r -> r.config = Netbench.Oskit) rows in
       sg (fun t -> t.Netbench.crossings_per_kpkt) r < r.send.Netbench.crossings_per_kpkt)
+    rows;
+  (* The card cuts the FreeBSD stack's tcp_output bursts, on both
+     attachments, into several wire frames per driver transmit; the Linux
+     inet stack asks for no offload. *)
+  Row.check "table1: sg send did not cut bursts on a FreeBSD-stack row, or cut one on Linux"
+    (List.for_all (fun r ->
+         let w = sg (fun t -> t.Netbench.wire_per_xmit) r in
+         match r.config with
+         | Netbench.Linux -> w = 1.0
+         | Netbench.Freebsd | Netbench.Oskit -> w > 1.0))
     rows
 
 (* ---------------- Table 2 ---------------- *)
@@ -424,12 +438,14 @@ let chaos () =
   section_header "Chaos: ttcp goodput vs injected loss (netem, seed 42)";
   Printf.printf
     "each run: %d blocks x %d bytes to a native FreeBSD sink; byte-exact\n\
-     means every payload byte arrived once, in order, with the right value\n\n"
+     means every payload byte arrived once, in order, with the right value;\n\
+     sg on is the modern transmit path: the card cuts each tcp_output burst\n\n"
     blocks blocksize;
   let fields =
     Row.
-      [ show "%-10s" "sender" (fun ((sender, _), _) -> Netbench.config_name sender);
-        show "%6.1f%%" "loss" (fun ((_, loss), _) -> loss *. 100.0);
+      [ show "%-10s" "sender" (fun ((sender, _, _), _) -> Netbench.config_name sender);
+        show "%4s" "sg" (fun ((_, sg, _), _) -> Row.on_off sg);
+        show "%6.1f%%" "loss" (fun ((_, _, loss), _) -> loss *. 100.0);
         show "%14.2f" "goodput (Mbit/s)" (fun (_, r) -> r.Netbench.goodput_mbit);
         show "%9d" "rexmits" (fun (_, r) -> r.Netbench.chaos_rexmits);
         show "%9d" "drops" (fun (_, r) -> r.Netbench.wire_dropped);
@@ -439,11 +455,12 @@ let chaos () =
     (Row.table fields
        ~checks:
          [ Row.each "chaos: transfer was not byte-exact" (fun (_, r) -> r.Netbench.byte_exact) ]
-       (fun (sender, loss) ->
-         ( (sender, loss),
-           Netbench.chaos_transfer ~seed:42 ~loss ~sender ~receiver:Netbench.Freebsd ~blocks
-             ~blocksize () ))
-       Row.([ Netbench.Freebsd; Netbench.Oskit; Netbench.Linux ]
+       (fun ((sender, sg), loss) ->
+         ( (sender, sg, loss),
+           Netbench.chaos_transfer ~seed:42 ~loss ~sg ~sender ~receiver:Netbench.Freebsd
+             ~blocks ~blocksize () ))
+       Row.(([ Netbench.Freebsd, false; Netbench.Oskit, false; Netbench.Linux, false;
+               Netbench.Freebsd, true; Netbench.Oskit, true ])
             *** [ 0.0; 0.005; 0.01; 0.02; 0.05 ]));
   print_newline ();
   print_endline "retransmissions recover every loss: goodput degrades, correctness doesn't"

@@ -119,6 +119,7 @@ type transfer_result = {
   sg_xmits : int;          (* frames the NIC gathered from an iovec *)
   linearized_xmits : int;  (* frames flattened at the glue (the copy) *)
   checksummed_bytes : int;
+  wire_per_xmit : float;   (* sender's wire frames per driver transmit *)
 }
 
 (* ttcp: [sender] pushes blocks x blocksize to [receiver].  [sg] turns on
@@ -152,6 +153,7 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
   Cost.reset_counters ();
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
   let packets = Wire.frames_carried tb.Clientos.wire in
+  let nic = tb.Clientos.host_a.Clientos.nic in
   { mbit_sender = float_of_int total *. 8e3 /. float_of_int !send_ns;
     mbit_e2e = float_of_int total *. 8e3 /. float_of_int !recv_done;
     copies_per_kpkt = Cost.counters.Cost.copies * 1000 / max 1 packets;
@@ -159,7 +161,8 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
     packets;
     sg_xmits = Cost.counters.Cost.sg_xmits;
     linearized_xmits = Cost.counters.Cost.linearized_xmits;
-    checksummed_bytes = Cost.counters.Cost.checksummed_bytes }
+    checksummed_bytes = Cost.counters.Cost.checksummed_bytes;
+    wire_per_xmit = float_of_int (Nic.tx_count nic) /. float_of_int (max 1 (Nic.xmit_count nic)) }
 
 (* rtcp: 1-byte round trips, both sides in [config], keeping the whole
    per-trip distribution and the receive fast-path counters.  [fastpath]

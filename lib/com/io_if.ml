@@ -58,6 +58,28 @@ type bufio = {
 
 let bufio_iid : bufio Iid.t = Iid.declare "oskit.bufio"
 
+(** {1 Transmit offload}
+
+    An optional face of a transmit {!bufio}, reached by [Com.query] on its
+    [buf_unknown]: what the producer left the device to finish.  This is
+    packet metadata the bytes cannot carry across a component boundary
+    (FreeBSD's csum_flags/tso_segsz, Linux's ip_summed/gso_size).  A
+    producer that exports it does so on every packet it pushes, offloaded
+    or not, so a consumer may remember per binding whether the producer
+    speaks it. *)
+
+type tx_offload = {
+  txo_unknown : Com.unknown;
+  txo_csum : unit -> bool;
+      (** the TCP checksum is the device's to write; th_sum holds the
+          pseudo-header sum over the addresses and protocol *)
+  txo_segsz : unit -> int;
+      (** [> 0]: the device cuts the TCP payload into segments of this
+          many bytes (TSO); [0]: the packet leaves as one frame *)
+}
+
+let tx_offload_iid : tx_offload Iid.t = Iid.declare "oskit.tx_offload"
+
 (** {1 Network I/O}
 
     Push-style packet exchange.  When the client opens a device it passes

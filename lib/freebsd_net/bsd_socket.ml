@@ -327,6 +327,11 @@ let netstat st =
   line "  %d packets sent (%d not sent by the driver)" ifp.Netif.if_opackets
     ifp.Netif.if_oerrors;
   line "  %d frames queued in %d transmit trains" ifp.Netif.if_queued ifp.Netif.if_starts;
+  let c = Cost.counters in
+  line "  %d offload bursts cut into %d wire frames" c.Cost.tso_bursts c.Cost.tso_frames;
+  line "  %d transmit checksums offloaded" c.Cost.csum_offloads;
+  line "  %d offload requests refused by the card" c.Cost.offload_refused;
+  line "  %d TSO packets dropped at the IP fragmenter" ip.Ip.tso_drops;
   line "event:";
   line "  %d timer-wheel arms (%d cancels, %d fires, %d cascades)"
     Cost.counters.Cost.wheel_arms Cost.counters.Cost.wheel_cancels

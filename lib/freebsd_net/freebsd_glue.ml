@@ -39,11 +39,18 @@ let bufio_of_mbuf m =
       buf_map_v =
         (* Any chain maps as an iovec: each mbuf's data in place. *)
         (fun () -> Some (Mbuf.m_fragments m)) }
+  and offload () =
+    (* The packet's csum_flags/tso_segsz, for the driver side to turn into
+       its own offload request. *)
+    { Io_if.txo_unknown = unknown ();
+      txo_csum = (fun () -> m.Mbuf.m_csum <> Mbuf.Csum_none);
+      txo_segsz = (fun () -> match m.Mbuf.m_csum with Mbuf.Csum_tso n -> n | _ -> 0) }
   and obj =
     lazy
       (Com.create (fun _ ->
            [ Iid.B (Io_if.bufio_iid, fun () -> view ());
-             Iid.B (mbuf_iid, fun () -> m) ]))
+             Iid.B (mbuf_iid, fun () -> m);
+             Iid.B (Io_if.tx_offload_iid, offload) ]))
   and unknown () = Lazy.force obj in
   view ()
 
@@ -119,11 +126,16 @@ let open_ether_if stack (ed : Io_if.etherdev) =
   | Ok xmit ->
       (* The crossing is charged by the driver's xmit netio.  Its pushes
          are synchronous: once one returns each frame is on the wire or
-         refused (counted in if_oerrors), and the chains can be retired. *)
+         refused (counted in if_oerrors, as the wire frames it would have
+         become), and the chains can be retired.  The offload requests
+         ride each packet's bufio to the driver, which hands them to the
+         card. *)
+      ifp.Netif.if_capabilities <- Netif.ifcap_txcsum lor Netif.ifcap_tso4;
+      let unsent m = ifp.Netif.if_oerrors <- ifp.Netif.if_oerrors + Netif.wire_frames m in
       let xmit_one m =
         (match xmit.Io_if.push (bufio_of_mbuf m) with
         | Ok () -> ()
-        | Result.Error _ -> ifp.Netif.if_oerrors <- ifp.Netif.if_oerrors + 1);
+        | Result.Error _ -> unsent m);
         Mbuf.m_freem m
       in
       ifp.Netif.if_xmit <- xmit_one;
@@ -137,13 +149,12 @@ let open_ether_if stack (ed : Io_if.etherdev) =
             match ms with
             | [ m ] -> xmit_one m
             | ms ->
-                let frames = List.length ms in
                 let sent =
                   match xmit.Io_if.push_v (List.map bufio_of_mbuf ms) with
                   | Ok n -> n
                   | Result.Error _ -> 0
                 in
-                ifp.Netif.if_oerrors <- ifp.Netif.if_oerrors + frames - sent;
+                List.iteri (fun i m -> if i >= sent then unsent m) ms;
                 List.iter Mbuf.m_freem ms);
       Ok ()
 

@@ -8,6 +8,7 @@
  *)
 
 let ip_hlen = 20
+let ip_maxpacket = 65535
 let proto_icmp = 1
 let proto_tcp = 6
 let proto_udp = 17
@@ -38,6 +39,7 @@ type t = {
   mutable reass_expired : int; (* fragments freed past the 30 s lifetime *)
   mutable arp_drops : int;     (* packets freed when ARP gave up on them *)
   mutable nomem_drops : int;   (* input datagrams dropped for want of an mbuf *)
+  mutable tso_drops : int;     (* TSO packets that reached the fragmenter *)
 }
 
 let put32 = Arp.put32
@@ -81,9 +83,28 @@ let emit t m ~proto ~src ~dst ~ttl ~id ~frag_off ~more_frags =
     Mbuf.m_freem m
   end
 
+(* in_delayed_cksum: finish in software a TCP checksum the stack left to
+   the card, for a packet that will not reach one whole (looped back, or
+   cut by the fragmenter).  th_sum holds the pseudo-header sum without the
+   length; clear it and sum the segment over the full pseudo-header. *)
+let delayed_cksum m ~src ~dst =
+  match m.Mbuf.m_csum with
+  | Mbuf.Csum_none -> ()
+  | Mbuf.Csum_tcp | Mbuf.Csum_tso _ ->
+      m.Mbuf.m_csum <- Mbuf.Csum_none;
+      let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
+      let total = Mbuf.m_length m in
+      Bytes.set_uint16_be d (o + 16) 0;
+      let sum =
+        In_cksum.cksum_chain m ~off:0 ~len:total
+          ~init:(In_cksum.pseudo_header ~src ~dst ~proto:proto_tcp ~len:total)
+      in
+      Bytes.set_uint16_be d (o + 16) (if sum = 0 then 0xffff else sum)
+
 let rec output t ~proto ~src ~dst ?(ttl = default_ttl) m =
   if Int32.equal dst t.ifp.Netif.if_addr then begin
     (* Local delivery: loop straight back up. *)
+    delayed_cksum m ~src ~dst;
     match List.assoc_opt proto t.protos with
     | Some input ->
         t.ipackets <- t.ipackets + 1;
@@ -91,13 +112,27 @@ let rec output t ~proto ~src ~dst ?(ttl = default_ttl) m =
     | None -> Mbuf.m_freem m
   end
   else begin
+    (* A TSO packet takes one id per wire frame: the card numbers its
+       segments id, id + 1, ... *)
     let id = t.ip_id in
-    t.ip_id <- (t.ip_id + 1) land 0xffff;
+    t.ip_id <- (t.ip_id + Mbuf.m_wire_frames m ~th:0) land 0xffff;
     let payload = Mbuf.m_length m in
     let max_payload = (t.ifp.Netif.if_mtu - ip_hlen) land lnot 7 in
-    if payload + ip_hlen <= t.ifp.Netif.if_mtu then
+    (* The card cuts a TSO packet into TCP header + segsz payload frames. *)
+    let tso = Mbuf.m_tso m ~th:0 in
+    let frame_payload =
+      match tso with Some (thlen, segsz) -> min payload (thlen + segsz) | None -> payload
+    in
+    if frame_payload + ip_hlen <= t.ifp.Netif.if_mtu then
       emit t m ~proto ~src ~dst ~ttl ~id ~frag_off:0 ~more_frags:false
+    else if Option.is_some tso then begin
+      (* The card, not the fragmenter, cuts a TSO packet; one whose
+         segments would not fit the MTU is dropped and counted. *)
+      t.tso_drops <- t.tso_drops + 1;
+      Mbuf.m_freem m
+    end
     else begin
+      delayed_cksum m ~src ~dst;
       (* Fragment: each piece carries a multiple of 8 bytes except the
          last. *)
       let rec pieces off =
@@ -209,7 +244,7 @@ let attach ifp arp machine =
   let t =
     { ifp; arp; machine; ip_id = 1; protos = []; reass = []; ipackets = 0; opackets = 0;
       ofragments = 0; reassembled = 0; badsum = 0; noroute = 0; reass_expired = 0;
-      arp_drops = 0; nomem_drops = 0 }
+      arp_drops = 0; nomem_drops = 0; tso_drops = 0 }
   in
   Netif.set_proto_input ifp ~ethertype:Netif.ethertype_ip
     (fun m ->

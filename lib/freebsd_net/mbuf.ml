@@ -29,6 +29,12 @@ let mclbytes = 2048 (* cluster size *)
    where) to recycle it. *)
 type storage = Pool_small | Pool_clust | Foreign
 
+(* The donor's m_pkthdr.csum_flags and tso_segsz, folded into one word:
+   what the stack left to the card on transmit.  [Csum_tcp] is CSUM_TCP
+   (the card writes the TCP checksum); [Csum_tso segsz] adds CSUM_TSO (the
+   card cuts the payload into [segsz]-byte segments). *)
+type csum = Csum_none | Csum_tcp | Csum_tso of int
+
 type mbuf = {
   mutable m_next : mbuf option;
   mutable m_data : bytes; (* backing storage *)
@@ -45,6 +51,7 @@ type mbuf = {
          path uses to unpin loaned buffer-cache blocks.  m_copym copies
          propagate it alongside m_refs, so retransmit aliases keep the
          block pinned until the final free. *)
+  mutable m_csum : csum; (* transmit offload request; head mbuf only *)
 }
 
 let stats_allocated = ref 0
@@ -59,11 +66,22 @@ let m_get () =
   incr stats_allocated;
   { m_next = None; m_data = Bpool.get small_pool; m_off = msize - mlen; m_len = 0;
     m_ext = false; m_pkthdr_len = 0; m_store = Pool_small; m_refs = ref 1;
-    m_freed = false; m_on_free = None }
+    m_freed = false; m_on_free = None; m_csum = Csum_none }
 
 let m_gethdr () =
   let m = m_get () in
   m.m_off <- msize - mhlen;
+  m
+
+(* MH_ALIGN: a packet-header mbuf holding [n] bytes at the end of its
+   storage, so the IP and link headers prepend into the same mbuf and
+   every header lies in the chain's first fragment, where a card that
+   parses headers for offload looks for them. *)
+let m_gethdr_align n =
+  let m = m_gethdr () in
+  m.m_off <- msize - n;
+  m.m_len <- n;
+  m.m_pkthdr_len <- n;
   m
 
 let m_getclust () =
@@ -73,7 +91,7 @@ let m_getclust () =
   incr stats_allocated;
   { m_next = None; m_data = Bpool.get clust_pool; m_off = 0; m_len = 0; m_ext = true;
     m_pkthdr_len = 0; m_store = Pool_clust; m_refs = ref 1; m_freed = false;
-    m_on_free = None }
+    m_on_free = None; m_csum = Csum_none }
 
 (* MEXTADD: loan foreign storage to the chain with no copy — how received
    frames that arrive contiguous are mapped straight into the stack.  The
@@ -83,7 +101,7 @@ let m_ext_wrap buf ~off ~len =
   incr stats_allocated;
   { m_next = None; m_data = buf; m_off = off; m_len = len; m_ext = true;
     m_pkthdr_len = len; m_store = Foreign; m_refs = ref 1; m_freed = false;
-    m_on_free = None }
+    m_on_free = None; m_csum = Csum_none }
 
 (* m_ext_wrap with a free callback (MEXTADD's ext_free): [on_free] runs
    when the last alias of the loaned storage is retired.  The sendfile
@@ -159,6 +177,9 @@ let m_prepend m n =
     hdr.m_len <- n;
     hdr.m_next <- Some m;
     hdr.m_pkthdr_len <- n + m_length m;
+    (* M_MOVE_PKTHDR: the offload request stays with the packet's head. *)
+    hdr.m_csum <- m.m_csum;
+    m.m_csum <- Csum_none;
     hdr
   end
 
@@ -319,7 +340,7 @@ let m_copym m ~off ~len =
       incr src.m_refs;
       { m_next = None; m_data = src.m_data; m_off = src.m_off + off; m_len = n;
         m_ext = true; m_pkthdr_len = 0; m_store = src.m_store; m_refs = src.m_refs;
-        m_freed = false; m_on_free = src.m_on_free }
+        m_freed = false; m_on_free = src.m_on_free; m_csum = Csum_none }
     end
     else begin
       let c = m_get () in
@@ -407,6 +428,20 @@ let m_fragments ?(off = 0) ?len m =
     end
   in
   go m off len []
+
+(* A TSO request's TCP header length and segment size, the TCP header
+   starting [th] bytes into the head mbuf. *)
+let m_tso m ~th =
+  match m.m_csum with
+  | Csum_tso segsz -> Some ((Char.code (Bytes.get m.m_data (m.m_off + th + 12)) lsr 4) * 4, segsz)
+  | Csum_none | Csum_tcp -> None
+
+(* How many wire frames a packet becomes: one, or for a TSO request one
+   per [segsz] bytes of TCP payload. *)
+let m_wire_frames m ~th =
+  match m_tso m ~th with
+  | Some (thlen, segsz) -> max 1 ((m_length m - th - thlen + segsz - 1) / segsz)
+  | None -> 1
 
 (* Number of mbufs in the chain (diagnostics; drives the contiguity check
    in the glue). *)

@@ -10,12 +10,22 @@ let attach stack nic =
   let machine = stack.Bsd_socket.machine in
   let ifp = stack.Bsd_socket.ifp in
   ifp.Netif.if_hwaddr <- Nic.mac nic;
+  (* The card checksums and segments; the driver passes each packet's
+     csum_flags/tso_segsz to it, the same request the OSKit glue carries
+     to the same card, so the two attachments compare fairly. *)
+  ifp.Netif.if_capabilities <- Netif.ifcap_txcsum lor Netif.ifcap_tso4;
   ifp.Netif.if_xmit <-
     (fun m ->
       Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
+      let offload =
+        match m.Mbuf.m_csum with
+        | Mbuf.Csum_none -> None
+        | Mbuf.Csum_tcp -> Some Nic.Csum
+        | Mbuf.Csum_tso segsz -> Some (Nic.Tso segsz)
+      in
       (* Gather DMA: the controller reads each mbuf fragment in place,
          costed inside [Nic.transmit_v] at DMA rate — no CPU flatten. *)
-      Nic.transmit_v nic (Mbuf.m_fragments m);
+      Nic.transmit_v nic ?offload (Mbuf.m_fragments m);
       (* The controller is done with the fragments; retire the chain
          (cluster storage shared with the socket buffer just drops a
          reference). *)

@@ -10,6 +10,10 @@ let ethertype_ip = 0x0800
 let ethertype_arp = 0x0806
 let ether_broadcast = "\xff\xff\xff\xff\xff\xff"
 
+(* if_capabilities bits (the donor's IFCAP_TXCSUM and IFCAP_TSO4). *)
+let ifcap_txcsum = 0x0002
+let ifcap_tso4 = 0x0100
+
 type ifnet = {
   if_name : string;
   mutable if_hwaddr : string; (* learned from the bound device *)
@@ -17,6 +21,7 @@ type ifnet = {
   mutable if_mask : int32;
   mutable if_mtu : int; (* payload above the ether header *)
   mutable if_xmit : Mbuf.mbuf -> unit; (* full frame to the driver *)
+  mutable if_capabilities : int; (* ifcap_* offloads the attachment carries *)
   (* The donor's send queue and start routine.  While a train is open
      ([if_train] > 0) ether_output queues frames on [if_snd] instead of
      handing each to [if_xmit]; closing the outermost train calls
@@ -37,8 +42,8 @@ type ifnet = {
 let create ~name ~hwaddr =
   if String.length hwaddr <> 6 then invalid_arg "Netif.create: hwaddr";
   { if_name = name; if_hwaddr = hwaddr; if_addr = 0l; if_mask = 0l; if_mtu = 1500;
-    if_xmit = (fun _ -> ()); if_snd = Queue.create (); if_start = None; if_train = 0;
-    if_protos = []; if_ipackets = 0; if_opackets = 0; if_idrops = 0; if_oerrors = 0;
+    if_xmit = (fun _ -> ()); if_capabilities = 0; if_snd = Queue.create (); if_start = None;
+    if_train = 0; if_protos = []; if_ipackets = 0; if_opackets = 0; if_idrops = 0; if_oerrors = 0;
     if_starts = 0; if_queued = 0 }
 
 let set_proto_input ifp ~ethertype handler =
@@ -50,6 +55,16 @@ let ifconfig ifp ~addr ~mask =
 
 let same_subnet ifp other =
   Int32.logand other ifp.if_mask = Int32.logand ifp.if_addr ifp.if_mask
+
+(* Whether transmit offload [cap] is in effect: the attachment carries it
+   and the modern transmit path is on.  Gating on [Cost.config.sg_tx]
+   follows Linux's feature rule — no TSO on a device without
+   scatter-gather, no scatter-gather without checksum offload — so the
+   one knob turns on all three together. *)
+let offload ifp cap = Cost.config.Cost.sg_tx && ifp.if_capabilities land cap <> 0
+
+(* Wire frames one full frame becomes at the card. *)
+let wire_frames m = Mbuf.m_wire_frames m ~th:(eth_hlen + 20)
 
 (* ether_output: m is the payload (IP datagram / ARP message). *)
 let ether_output ifp m ~dst_mac ~ethertype =

@@ -560,9 +560,17 @@ and emit_segment_nomem t pcb ~seq ~ack ~flags ~win ~payload ~mss_opt ~wscale =
   let ws_len = match wscale with Some _ -> 4 | None -> 0 in
   let opt_len = (if mss_opt then 4 else 0) + ws_len in
   let hlen = tcp_hlen + opt_len in
+  (* On an offloading interface the headers go in one MH_ALIGNed mbuf,
+     where the card looks for them. *)
+  let offload = Netif.offload t.ip.Ip.ifp Netif.ifcap_txcsum in
   let m =
     match payload with
+    | Some data when offload ->
+        let m = Mbuf.m_gethdr_align hlen in
+        Mbuf.m_cat m data;
+        m
     | Some data -> Mbuf.m_prepend data hlen
+    | None when offload -> Mbuf.m_gethdr_align hlen
     | None ->
         let m = Mbuf.m_gethdr () in
         ignore (Mbuf.m_put m hlen);
@@ -600,12 +608,24 @@ and emit_segment_nomem t pcb ~seq ~ack ~flags ~win ~payload ~mss_opt ~wscale =
       Bytes.set d (!opt_off + 3) (Char.chr (s land 0xff))
   | None -> ());
   let total = Mbuf.m_length m in
-  let sum =
-    In_cksum.cksum_chain m ~off:0 ~len:total
-      ~init:
-        (In_cksum.pseudo_header ~src:pcb.laddr ~dst:pcb.raddr ~proto:Ip.proto_tcp ~len:total)
-  in
-  Bytes.set_uint16_be d (o + 16) (if sum = 0 then 0xffff else sum);
+  if offload then begin
+    (* CSUM_TCP: th_sum holds the pseudo-header sum over the addresses and
+       protocol (in_pseudo), and the card sums the rest.  A segment longer
+       than t_maxseg adds CSUM_TSO: the card cuts it. *)
+    Bytes.set_uint16_be d (o + 16)
+      (In_cksum.fold
+         (In_cksum.pseudo_header ~src:pcb.laddr ~dst:pcb.raddr ~proto:Ip.proto_tcp ~len:0));
+    m.Mbuf.m_csum <-
+      (if total - hlen > pcb.t_maxseg then Mbuf.Csum_tso pcb.t_maxseg else Mbuf.Csum_tcp)
+  end
+  else begin
+    let sum =
+      In_cksum.cksum_chain m ~off:0 ~len:total
+        ~init:
+          (In_cksum.pseudo_header ~src:pcb.laddr ~dst:pcb.raddr ~proto:Ip.proto_tcp ~len:total)
+    in
+    Bytes.set_uint16_be d (o + 16) (if sum = 0 then 0xffff else sum)
+  end;
   Cost.charge_cycles Cost.config.bsd_tcp_pkt_cycles;
   bump t (fun s -> s.sndpack <- s.sndpack + 1);
   Ip.output t.ip ~proto:Ip.proto_tcp ~src:pcb.laddr ~dst:pcb.raddr m
@@ -703,7 +723,15 @@ and tcp_output_segs t pcb =
   let win = max (min pcb.snd_wnd pcb.snd_cwnd) 0 in
   let pending = pcb.snd_buf.Sockbuf.sb_cc - off in
   let len = if sendable_state && off >= 0 then max 0 (min pending (win - off)) else 0 in
-  let len = min len pcb.t_maxseg in
+  (* With TSO one segment carries the window, up to the largest IP packet,
+     in whole t_maxseg units unless it empties the send buffer; the card
+     cuts it.  Otherwise one segment carries at most t_maxseg. *)
+  let len =
+    if len > pcb.t_maxseg && Netif.offload t.ip.Ip.ifp Netif.ifcap_tso4 then
+      let len = min len (Ip.ip_maxpacket - Ip.ip_hlen - tcp_hlen) in
+      if off + len < pcb.snd_buf.Sockbuf.sb_cc then len - (len mod pcb.t_maxseg) else len
+    else min len pcb.t_maxseg
+  in
   let all_data_sent = off + len >= pcb.snd_buf.Sockbuf.sb_cc in
   let send_fin =
     sendable_state && pcb.snd_fin_pending && all_data_sent

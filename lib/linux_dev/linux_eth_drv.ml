@@ -203,19 +203,27 @@ let dev_stop osenv dev =
     dev.netif_rx_v <- nothing_rx_v
   end
 
-(* hard_start_xmit: hand a fully-formed frame to the card. *)
+(* hard_start_xmit: hand a fully-formed frame to the card — one skb, one
+   charge of per-packet driver work, however many wire frames the card
+   cuts from it.  The skb's CHECKSUM_PARTIAL and gso_size become the
+   card's offload request (the NETIF_F_HW_CSUM and NETIF_F_TSO paths). *)
 let hard_start_xmit dev skb =
   if not dev.opened then Error.fail Error.Nodev;
   Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
   dev.tx_packets <- dev.tx_packets + 1;
+  let offload =
+    if skb.Skbuff.ip_summed <> Skbuff.checksum_partial then None
+    else if skb.Skbuff.gso_size > 0 then Some (Nic.Tso skb.Skbuff.gso_size)
+    else Some Nic.Csum
+  in
   if Skbuff.skb_is_nonlinear skb then
     (* Nonlinear sk_buff: program the card's scatter-gather ring with the
        fragment list — the controller gathers in place, no CPU flatten. *)
-    Nic.transmit_v dev.hw (Skbuff.skb_fragments skb)
+    Nic.transmit_v dev.hw ?offload (Skbuff.skb_fragments skb)
   else begin
     (* The card DMAs straight out of the sk_buff's contiguous data. *)
     let frame = Bytes.sub skb.Skbuff.skb_data skb.Skbuff.head skb.Skbuff.len in
-    Nic.transmit dev.hw frame
+    Nic.transmit dev.hw ?offload frame
   end
 
 (* Build the 14-byte header in the skb's headroom (eth_header). *)

@@ -88,7 +88,8 @@ let skb_of_bufio ?cache (io : Io_if.bufio) =
              pooled — the backing belongs to the lender. *)
           ( { Skbuff.skb_data = backing; head = start; len = n; protocol = 0;
               dev_name = ""; skb_pooled = false; skb_freed = false;
-              link_ready = false; skb_frags = [] },
+              link_ready = false; skb_frags = []; ip_summed = Skbuff.checksum_none;
+              gso_size = 0 },
             false )
       | None -> (
           match if Cost.config.Cost.sg_tx then io.Io_if.buf_map_v () else None with
@@ -109,6 +110,25 @@ let skb_of_bufio ?cache (io : Io_if.bufio) =
               | Ok _ -> skb, true
               | Result.Error e -> Error.fail e)))
 
+(* The producer's offload request, translated for the driver:
+   csum_flags/tso_segsz become CHECKSUM_PARTIAL and gso_size.  Read from
+   the bufio's optional tx_offload face, with a per-binding verdict like
+   the recognition cache's: a producer that does not export the face is
+   asked once. *)
+let skb_set_offload ~(cache : recognition) (io : Io_if.bufio) skb =
+  if !cache <> Some false then begin
+    Cost.count_com_call ();
+    match Com.query io.Io_if.buf_unknown Io_if.tx_offload_iid with
+    | Ok o ->
+        cache := Some true;
+        if o.Io_if.txo_csum () then begin
+          skb.Skbuff.ip_summed <- Skbuff.checksum_partial;
+          skb.Skbuff.gso_size <- o.Io_if.txo_segsz ()
+        end;
+        ignore (io.Io_if.buf_unknown.Com.release ())
+    | Result.Error _ -> cache := Some false
+  end
+
 (* ---- etherdev COM objects ---- *)
 
 let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
@@ -116,9 +136,11 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
     (* One recognition verdict per xmit binding: the first push pays the
        COM query, steady-state frames skip it (the paper's per-packet
        indirect-call overhead, hoisted). *)
-    let cache = fresh_recognition () in
+    let cache = fresh_recognition () and offload_cache = fresh_recognition () in
     let xmit_one io =
       let skb, copied = skb_of_bufio ~cache io in
+      (* Offload rides the modern transmit path, like the iovec crossing. *)
+      if Cost.config.Cost.sg_tx then skb_set_offload ~cache:offload_cache io skb;
       match Linux_eth_drv.hard_start_xmit dev skb with
       | () ->
           (* A copy made for this transmit is dead once the frame is

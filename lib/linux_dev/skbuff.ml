@@ -37,7 +37,16 @@ type sk_buff = {
          is the fragments' total.  Only scatter-gather-aware consumers
          (hard_start_xmit's gather DMA) accept one; everything else calls
          [skb_linearize] first. *)
+  mutable ip_summed : int;
+      (* [checksum_none]: the stack checksummed the packet;
+         [checksum_partial]: the device writes the transport checksum. *)
+  mutable gso_size : int;
+      (* skb_shinfo(skb)->gso_size: > 0 asks the device to cut the TCP
+         payload into segments of this size (NETIF_F_TSO); 0 otherwise. *)
 }
+
+let checksum_none = 0
+let checksum_partial = 3
 
 exception Skb_over_panic
 (* Linux calls panic(); an exception is our machine check. *)
@@ -60,18 +69,21 @@ let alloc_skb size =
   if size <= 1 lsl max_class_bits then
     let pool = pools.(class_of_size size - min_class_bits) in
     { skb_data = Bpool.get pool; head = 0; len = 0; protocol = 0; dev_name = "";
-      skb_pooled = true; skb_freed = false; link_ready = false; skb_frags = [] }
+      skb_pooled = true; skb_freed = false; link_ready = false; skb_frags = [];
+      ip_summed = checksum_none; gso_size = 0 }
   else begin
     Cost.charge_alloc ();
     { skb_data = Bytes.create size; head = 0; len = 0; protocol = 0; dev_name = "";
-      skb_pooled = false; skb_freed = false; link_ready = false; skb_frags = [] }
+      skb_pooled = false; skb_freed = false; link_ready = false; skb_frags = [];
+      ip_summed = checksum_none; gso_size = 0 }
   end
 
 (* Wrap an existing buffer without copying (used by the glue's "fake
    skbuff" trick, Section 4.7.3, and by DMA completion). *)
 let skb_wrap data =
   { skb_data = data; head = 0; len = Bytes.length data; protocol = 0; dev_name = "";
-    skb_pooled = false; skb_freed = false; link_ready = false; skb_frags = [] }
+    skb_pooled = false; skb_freed = false; link_ready = false; skb_frags = [];
+    ip_summed = checksum_none; gso_size = 0 }
 
 (* Wrap an iovec of loaned fragments as a nonlinear sk_buff — no copy, no
    pool storage.  The fragments stay the lender's; they must outlive the
@@ -80,7 +92,8 @@ let skb_of_frags frags =
   let frags = List.filter (fun (_, _, len) -> len > 0) frags in
   let total = List.fold_left (fun a (_, _, len) -> a + len) 0 frags in
   { skb_data = Bytes.empty; head = 0; len = total; protocol = 0; dev_name = "";
-    skb_pooled = false; skb_freed = false; link_ready = false; skb_frags = frags }
+    skb_pooled = false; skb_freed = false; link_ready = false; skb_frags = frags;
+    ip_summed = checksum_none; gso_size = 0 }
 
 let skb_is_nonlinear skb = skb.skb_frags <> []
 
@@ -108,6 +121,8 @@ let skb_linearize skb =
     lin.protocol <- skb.protocol;
     lin.dev_name <- skb.dev_name;
     lin.link_ready <- skb.link_ready;
+    lin.ip_summed <- skb.ip_summed;
+    lin.gso_size <- skb.gso_size;
     lin
   end
 

@@ -150,6 +150,10 @@ type counters = {
   mutable checksummed_bytes : int;
   mutable sg_xmits : int;
   mutable linearized_xmits : int;
+  mutable tso_bursts : int;
+  mutable tso_frames : int;
+  mutable csum_offloads : int;
+  mutable offload_refused : int;
   mutable fastpath_hits : int;
   mutable fastpath_fallbacks : int;
   mutable pcb_cache_hits : int;
@@ -179,6 +183,7 @@ type counters = {
 let make_counters () =
   { copies = 0; copied_bytes = 0; glue_crossings = 0; com_calls = 0;
     checksummed_bytes = 0; sg_xmits = 0; linearized_xmits = 0;
+    tso_bursts = 0; tso_frames = 0; csum_offloads = 0; offload_refused = 0;
     fastpath_hits = 0; fastpath_fallbacks = 0;
     pcb_cache_hits = 0; pcb_cache_misses = 0;
     rx_polls = 0; rx_batched_frames = 0;
@@ -204,6 +209,10 @@ let clear_counters c =
   c.checksummed_bytes <- 0;
   c.sg_xmits <- 0;
   c.linearized_xmits <- 0;
+  c.tso_bursts <- 0;
+  c.tso_frames <- 0;
+  c.csum_offloads <- 0;
+  c.offload_refused <- 0;
   c.fastpath_hits <- 0;
   c.fastpath_fallbacks <- 0;
   c.pcb_cache_hits <- 0;
@@ -273,6 +282,13 @@ let count_com_call () = bump (fun c -> c.com_calls <- c.com_calls + 1)
 let count_sg_xmit () = bump (fun c -> c.sg_xmits <- c.sg_xmits + 1)
 let count_linearized_xmit () =
   bump (fun c -> c.linearized_xmits <- c.linearized_xmits + 1)
+let count_tso ~frames =
+  bump (fun c ->
+      c.tso_bursts <- c.tso_bursts + 1;
+      c.tso_frames <- c.tso_frames + frames)
+let count_csum_offload () = bump (fun c -> c.csum_offloads <- c.csum_offloads + 1)
+let count_offload_refused () =
+  bump (fun c -> c.offload_refused <- c.offload_refused + 1)
 let count_fastpath_hit () = bump (fun c -> c.fastpath_hits <- c.fastpath_hits + 1)
 let count_fastpath_fallback () =
   bump (fun c -> c.fastpath_fallbacks <- c.fastpath_fallbacks + 1)

@@ -258,6 +258,13 @@ type counters = {
   mutable checksummed_bytes : int;  (** bytes passed through [charge_checksum] *)
   mutable sg_xmits : int;  (** frames DMA-gathered from an iovec (no CPU flatten) *)
   mutable linearized_xmits : int;  (** frames the glue had to flatten into one buffer *)
+  mutable tso_bursts : int;
+      (** segmentation-offload requests a NIC accepted: one super-frame
+          each, cut by the card *)
+  mutable tso_frames : int;  (** wire frames those bursts became *)
+  mutable csum_offloads : int;  (** TCP checksums a NIC wrote, one per wire frame *)
+  mutable offload_refused : int;
+      (** malformed offload requests a NIC refused (and did not send) *)
   mutable fastpath_hits : int;  (** segments taken by header prediction *)
   mutable fastpath_fallbacks : int;
       (** established-state segments that missed the prediction and paid
@@ -324,6 +331,9 @@ val reset_counters : unit -> unit
 val count_com_call : unit -> unit
 val count_sg_xmit : unit -> unit
 val count_linearized_xmit : unit -> unit
+val count_tso : frames:int -> unit
+val count_csum_offload : unit -> unit
+val count_offload_refused : unit -> unit
 val count_fastpath_hit : unit -> unit
 val count_fastpath_fallback : unit -> unit
 val count_pcb_cache_hit : unit -> unit

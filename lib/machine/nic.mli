@@ -38,17 +38,46 @@ val clear_rss : t -> unit
 (** Number of RX queues (1 when RSS is off). *)
 val rx_queues : t -> int
 
-(** [transmit t frame] hands a fully-formed Ethernet frame to the card;
-    DMA from driver memory is charged per byte at a fraction of memcpy
-    cost.  Frames shorter than 60 bytes are padded, as the hardware does. *)
-val transmit : t -> bytes -> unit
+(** {2 Transmit offload}
 
-(** [transmit_v t frags] hands the card an ordered iovec of
+    Checksum and TCP segmentation offload, as on e1000-class cards: the
+    driver marks a frame with an {!offload} request and the card does the
+    work in the device, charging no CPU cycles beyond the per-byte DMA.
+    The stack leaves in th_sum the pseudo-header sum over the addresses and
+    protocol (in_pseudo, without the length); the card adds each wire
+    frame's TCP length. *)
+
+type offload =
+  | Csum  (** write the frame's TCP checksum *)
+  | Tso of int
+      (** [Tso mss]: cut one Ethernet/IPv4/TCP super-frame into
+          ⌈payload/mss⌉ wire frames.  Each gets the IP total length, IP
+          id + i, a fresh IP header checksum, TCP seq + i·mss, FIN and PSH
+          only on the last frame, and its own TCP checksum. *)
+
+(** Why a malformed offload request was refused: not Ethernet/IPv4/TCP,
+    an IP header with options, headers that do not all lie in the first
+    DMA fragment, or [mss <= 0]. *)
+type refusal = Not_tcp | Ip_options | Split_headers | Bad_mss
+
+(** [transmit t ?offload frame] hands a fully-formed Ethernet frame to the
+    card; DMA from driver memory is charged per byte at a fraction of
+    memcpy cost.  Frames shorter than 60 bytes are padded, as the hardware
+    does.  With [offload], the card checks the headers and refuses a
+    malformed request (counted per card in {!offload_refused} and in
+    [Cost.counters.offload_refused]; nothing is sent); otherwise it writes
+    the checksums, into [frame] itself for a single frame, and cuts a
+    [Tso] super-frame.  Counts [Cost.counters.csum_offloads] per wire
+    frame, and [tso_bursts]/[tso_frames] per [Tso] request. *)
+val transmit : t -> ?offload:offload -> bytes -> unit
+
+(** [transmit_v t ?offload frags] hands the card an ordered iovec of
     [(backing, off, len)] fragments; the controller gathers them in place
     (busmaster scatter-gather DMA, charged per byte at DMA rate like
-    {!transmit}) and puts one frame on the wire.  Counts one
-    [Cost.counters.sg_xmits].  Zero CPU copy for the caller. *)
-val transmit_v : t -> (bytes * int * int) list -> unit
+    {!transmit}) and puts the frame, or the frames an [offload] request
+    cuts from it, on the wire.  Counts one [Cost.counters.sg_xmits] per
+    wire frame.  Zero CPU copy for the caller. *)
+val transmit_v : t -> ?offload:offload -> (bytes * int * int) list -> unit
 
 (** [pop_rx t] takes the oldest received frame off the ring, if any.  Used
     by the driver's interrupt handler. *)
@@ -69,7 +98,13 @@ val set_promiscuous : t -> bool -> unit
 (** Frames dropped to ring overflow. *)
 val rx_dropped : t -> int
 
-(** Counters for tests/benches. *)
+(** Counters for tests/benches: wire frames sent, and transmit requests
+    (one DMA each; a [Tso] request is one request and many frames). *)
 val tx_count : t -> int
+
+val xmit_count : t -> int
+
+(** Offload requests refused for one reason. *)
+val offload_refused : t -> refusal -> int
 
 val rx_count : t -> int

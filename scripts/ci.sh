@@ -4,7 +4,9 @@
 #
 # Small runs (OSKIT_BENCH_BLOCKS=64; each fails loudly on regression):
 #   alloc         the allocator bench runs and prints its speedup table.
-#   chaos         ttcp through netem at 0-5% loss, all three configs, every
+#   chaos         ttcp through netem at 0-5% loss, all three configs, plus
+#                 the FreeBSD and OSKit senders with sg on (segmentation
+#                 and checksum offload: the card cuts each burst), every
 #                 cell byte-exact.
 #   sgsmoke       sg send >= default send, zero flatten copies on the sg
 #                 path, byte-exact with sg on under loss.
@@ -24,7 +26,10 @@
 # now these gates):
 #   table1    the paper's Table 1 and the sg column; the OSKit sg send
 #             makes strictly fewer glue crossings per 1000 packets than
-#             the default send (a tcp_output train crosses once).
+#             the default send (a tcp_output train crosses once); the
+#             sender's card sends more than one wire frame per driver
+#             transmit on the FreeBSD and OSKit sg rows (it cuts each
+#             offloaded burst) and exactly one on the Linux row.
 #   table2    the paper's Table 2.
 #   rtt       the 128-client fast-path http run is byte-exact and batches
 #             more than one frame per poll (was rttsmoke).

@@ -14,6 +14,7 @@ let () =
       "net", Test_net.suite;
       "netem", Test_netem.suite;
       "sg", Test_sg.suite;
+      "tso", Test_tso.suite;
       "tcp-behavior", Test_tcp_behavior.suite;
       "misc", Test_misc.suite;
       "vm", Test_vm.suite;
