@@ -29,6 +29,27 @@ let blkio_iid : blkio Iid.t =
   Iid.make ~name:"oskit.blkio"
     (Guid.make 0x4aa7dfe1l 0x7c74 0x11cf "\xb5\x00\x08\x00\x09\x53\xad\xc2")
 
+(** {1 Direct-mapped block devices}
+
+    An optional face of a {!blkio}, reached by [Com.query] on its
+    [bio_unknown]: the {!bufio} [map] rule of Section 4.4.2 applied to a
+    block device whose bytes already live in local memory (a RAM disk).
+    A client that caches whole pages may adopt the device's own page
+    instead of reading a copy of it; a device that does not export the
+    face, or refuses a range, leaves the caller on [bio_read]/[bio_write]. *)
+
+type blkmap = {
+  bm_unknown : Com.unknown;
+  bm_map : offset:int -> amount:int -> bytes option;
+      (** [Some page]: the device's own storage for exactly
+          [offset .. offset+amount), which must be one whole page of the
+          device.  Loads and stores on it are loads and stores on the
+          device, visible at once to every other reader.  [None] for any
+          other range. *)
+}
+
+let blkmap_iid : blkmap Iid.t = Iid.declare "oskit.blkmap"
+
 (** {1 Buffer I/O}
 
     The extension of [blkio] for data that may live in local memory

@@ -57,6 +57,12 @@
 #             no body bytes; rows with bodies <= 16 KB make no more
 #             buffer-cache lookups per response than the directory's
 #             blocks plus the body's.
+# perfbench content (one traced second at seed 1): the end-to-end content
+#   workload byte-checks every response, checks that repetitions agree
+#   and that the traced run's virtual numbers equal the untraced run's,
+#   and exits non-zero otherwise.  It guards the direct-mapped RAM disk:
+#   a wrong adopted page shows as a wrong byte, and an interposer that
+#   hid the blkmap face would make the traced run differ.
 # Every number in the nine files is virtual time and the runs leave the
 # SMP and event-core knobs at their defaults, so a change that only makes
 # the simulator cheaper on the host must leave all nine untouched.
@@ -89,6 +95,7 @@ dune exec bench/main.exe -- table1
 dune exec bench/main.exe -- table2
 dune exec bench/main.exe -- rtt
 dune exec bench/main.exe -- http smp longfat overload event file
+sh perfbench/run.sh --workload content --seed 1 --seconds 1 --trace 1 >/dev/null
 git diff --exit-code BENCH_table1.json BENCH_table2.json BENCH_rtt.json \
   BENCH_http.json BENCH_smp.json BENCH_longfat.json BENCH_overload.json \
   BENCH_event.json BENCH_file.json

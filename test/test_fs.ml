@@ -8,6 +8,32 @@ let ok = function
 
 let mem_dev ?(mb = 4) () = Mem_blkio.make ~bytes:(mb * 1024 * 1024) ()
 
+(* The same blkio methods behind a COM object that exports nothing else,
+   so the buffer cache never finds the blkmap face and copies. *)
+let copy_only (dev : Io_if.blkio) =
+  let rec view () = { dev with Io_if.bio_unknown = unknown () }
+  and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.blkio_iid, fun () -> view ()) ]))
+  and unknown () = Lazy.force obj in
+  view ()
+
+(* An interposer that counts bio_read calls.  Like any record-update
+   wrapper it keeps [dev]'s unknown, so the face stays reachable. *)
+let counting_reads (dev : Io_if.blkio) =
+  let n = ref 0 in
+  ( { dev with
+      Io_if.bio_read =
+        (fun ~buf ~pos ~offset ~amount ->
+          incr n;
+          dev.Io_if.bio_read ~buf ~pos ~offset ~amount) },
+    n )
+
+let image (dev : Io_if.blkio) =
+  let n = dev.Io_if.getsize () in
+  let b = Bytes.create n in
+  Alcotest.(check int) "whole image read" n
+    (ok (dev.Io_if.bio_read ~buf:b ~pos:0 ~offset:0 ~amount:n));
+  Bytes.to_string b
+
 let with_posix_fs f =
   let dev = mem_dev () in
   let root = ok (Fs_glue.newfs dev) in
@@ -166,27 +192,31 @@ let test_errors () =
       | Error Error.Nametoolong -> ()
       | _ -> Alcotest.fail "ENAMETOOLONG expected")
 
+(* On the mapped device a delayed write is on the device at once; through
+   the copy-only view it reaches the device when the buffer is evicted. *)
 let test_buffer_cache () =
-  let dev = mem_dev () in
-  let bc = Buf.create ~bsize:4096 ~max_bufs:4 dev in
-  let b0 = Buf.bread bc 0 in
-  Bytes.set b0.Buf.b_data 0 'A';
-  Buf.bdwrite b0;
-  Buf.brelse b0;
-  (* Re-read hits the cache. *)
-  let b0' = Buf.bread bc 0 in
-  Alcotest.(check char) "cache hit sees dirty data" 'A' (Bytes.get b0'.Buf.b_data 0);
-  Buf.brelse b0';
-  let _, _, hits = Buf.stats bc in
-  Alcotest.(check bool) "hit counted" true (hits >= 1);
-  (* Touch enough blocks to force eviction of the dirty one. *)
-  for i = 1 to 8 do
-    Buf.brelse (Buf.bread bc i)
-  done;
-  (* The delayed write must have reached the device. *)
-  let probe = Bytes.create 1 in
-  ignore (dev.Io_if.bio_read ~buf:probe ~pos:0 ~offset:0 ~amount:1);
-  Alcotest.(check string) "dirty block flushed on eviction" "A" (Bytes.to_string probe)
+  List.iter
+    (fun dev ->
+      let bc = Buf.create ~bsize:4096 ~max_bufs:4 dev in
+      let b0 = Buf.bread bc 0 in
+      Bytes.set b0.Buf.b_data 0 'A';
+      Buf.bdwrite b0;
+      Buf.brelse b0;
+      (* Re-read hits the cache. *)
+      let b0' = Buf.bread bc 0 in
+      Alcotest.(check char) "cache hit sees dirty data" 'A' (Bytes.get b0'.Buf.b_data 0);
+      Buf.brelse b0';
+      let _, _, hits = Buf.stats bc in
+      Alcotest.(check bool) "hit counted" true (hits >= 1);
+      (* Touch enough blocks to force eviction of the dirty one. *)
+      for i = 1 to 8 do
+        Buf.brelse (Buf.bread bc i)
+      done;
+      (* The delayed write must have reached the device. *)
+      let probe = Bytes.create 1 in
+      ignore (dev.Io_if.bio_read ~buf:probe ~pos:0 ~offset:0 ~amount:1);
+      Alcotest.(check string) "dirty block flushed on eviction" "A" (Bytes.to_string probe))
+    [ mem_dev (); copy_only (mem_dev ()) ]
 
 (* Model test: random file operations agree with a Hashtbl-backed model. *)
 let prop_fs_model =
@@ -599,6 +629,215 @@ let prop_dir_model =
       && Ffs.free_blocks fs = blocks0
       && used_inodes fs = inodes0)
 
+(* ---- direct-mapped RAM disk: the buffer cache adopts the device's
+   pages; a copy-only view of the same kind of device is the reference ---- *)
+
+(* A cold 16 KB sendfile mapping: on the mapped device the four misses
+   adopt pages and nothing is read or copied; through the copy-only view
+   each miss reads and copies its block. *)
+let test_mapped_sendfile_cold () =
+  let size = 16384 in
+  let run ~mapped =
+    let base = mem_dev () in
+    let dev, reads = counting_reads (if mapped then base else copy_only base) in
+    let root = ok (Fs_glue.newfs dev) in
+    let f = ok (root.Io_if.d_create "body") in
+    let body = Bytes.init size (fun i -> Char.chr ((i * 13) land 0xff)) in
+    Alcotest.(check int) "written" size
+      (ok (f.Io_if.f_write ~buf:body ~pos:0 ~offset:0 ~amount:size));
+    ok (Fs_glue.sync_all root);
+    (* Remount: a cold cache. *)
+    let fs, root = ok (Fs_glue.mount_fs dev) in
+    let f =
+      match ok (root.Io_if.d_lookup "body") with
+      | Io_if.Node_file f -> f
+      | Io_if.Node_dir _ -> Alcotest.fail "body is a directory"
+    in
+    let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
+    let s0 = Buf.cache_stats fs.Ffs.bc and r0 = !reads and c0 = Cost.counters.Cost.copied_bytes in
+    let frags = ok (fm.Io_if.fm_map_blocks ~offset:0 ~amount:size) in
+    let s1 = Buf.cache_stats fs.Ffs.bc in
+    let got = Buffer.create size in
+    List.iter
+      (fun fr -> Buffer.add_subbytes got fr.Io_if.fr_data fr.Io_if.fr_off fr.Io_if.fr_len)
+      frags;
+    Io_if.frags_release frags;
+    Alcotest.(check string) "mapped bytes" (Bytes.to_string body) (Buffer.contents got);
+    [ !reads - r0; Cost.counters.Cost.copied_bytes - c0; s1.Buf.cs_mapped - s0.Buf.cs_mapped;
+      s1.Buf.cs_misses - s0.Buf.cs_misses ]
+  in
+  Alcotest.(check (list int)) "mapped: bio_reads, copied bytes, adopted, misses" [ 0; 0; 4; 4 ]
+    (run ~mapped:true);
+  Alcotest.(check (list int)) "copy-only: bio_reads, copied bytes, adopted, misses"
+    [ 4; size; 0; 4 ] (run ~mapped:false)
+
+(* getblk_nofill adopts the device page as it stands, so every nofill
+   caller must overwrite the whole block: newfs over a device full of
+   0xff must leave the same metadata, and the same file system, as over a
+   zeroed one. *)
+let test_mapped_newfs_over_garbage () =
+  let build dev =
+    let fs = Ffs.newfs dev in
+    let root = Ffs.root fs in
+    let d = Ffs.make_dir fs root ~name:"d" in
+    let f = Ffs.create_file fs d ~name:"f" in
+    let data = Bytes.make 10000 'q' in
+    ignore (Ffs.write fs f ~off:0 ~len:10000 ~src:data ~src_pos:0);
+    Ffs.sync fs;
+    fs
+  in
+  let zeroed = mem_dev () and garbage = mem_dev () in
+  let n = garbage.Io_if.getsize () in
+  ignore (ok (garbage.Io_if.bio_write ~buf:(Bytes.make n '\xff') ~pos:0 ~offset:0 ~amount:n));
+  let fz = build zeroed and fg = build garbage in
+  Alcotest.(check bool) "the garbage device is mapped" true
+    ((Buf.cache_stats fg.Ffs.bc).Buf.cs_mapped > 0);
+  let meta = fz.Ffs.sb.Ffs.data_start * Ffs.bsize in
+  Alcotest.(check string) "superblock, bitmaps and inode table" (String.sub (image zeroed) 0 meta)
+    (String.sub (image garbage) 0 meta);
+  Alcotest.(check int) "free blocks" (Ffs.free_blocks fz) (Ffs.free_blocks fg);
+  List.iter
+    (fun dev ->
+      Alcotest.(check string) "fsread sees the file" (String.make 10000 'q')
+        (Bytes.to_string (ok (Fsread.read_file dev "/d/f"))))
+    [ zeroed; garbage ]
+
+(* A device whose size is not a multiple of the page has a short last
+   page.  The face refuses it and the miss takes the copy path, which
+   reports the short block as it does on any device. *)
+let test_mapped_partial_last_page () =
+  let dev = Mem_blkio.make ~bytes:((3 * 4096) + 2048) () in
+  let bc = Buf.create ~bsize:4096 dev in
+  for i = 0 to 2 do
+    Buf.brelse (Buf.bread bc i)
+  done;
+  (match Buf.bread bc 3 with
+  | _ -> Alcotest.fail "a short block cannot be read whole"
+  | exception Error.Error Error.Io -> ());
+  let s = Buf.cache_stats bc in
+  Alcotest.(check (list int)) "adopted, refused, device reads" [ 3; 1; 1 ]
+    [ s.Buf.cs_mapped; s.Buf.cs_map_refused; s.Buf.cs_reads ]
+
+(* The differential test: one random op sequence on two RAM disks, one
+   seen through its mapped face and one through the copy-only view.
+   Results, trees and cache hit/miss counts agree after every op, and the
+   raw images after every sync.  A remount is a clean unmount (sync) and
+   a fresh mount. *)
+type xop =
+  | X_create of int * int (* directory pick, file pick *)
+  | X_write of int * int * int * int (* directory, file, offset, length *)
+  | X_truncate of int * int * int
+  | X_unlink of int * int
+  | X_mkdir of int
+  | X_rename of int * int * int * int
+  | X_sync
+  | X_remount
+
+let show_xop = function
+  | X_create (d, f) -> Printf.sprintf "create %d/f%d" d f
+  | X_write (d, f, off, len) -> Printf.sprintf "write %d/f%d @%d+%d" d f off len
+  | X_truncate (d, f, n) -> Printf.sprintf "truncate %d/f%d %d" d f n
+  | X_unlink (d, f) -> Printf.sprintf "unlink %d/f%d" d f
+  | X_mkdir d -> Printf.sprintf "mkdir d%d" d
+  | X_rename (d, f, d', f') -> Printf.sprintf "rename %d/f%d %d/f%d" d f d' f'
+  | X_sync -> "sync"
+  | X_remount -> "remount"
+
+let gen_xop =
+  QCheck.Gen.(
+    let d = int_range 0 2 and f = int_range 0 3 in
+    (* Half the writes land past the 12 direct blocks, so indirect
+       blocks are allocated, updated after a sync, and evicted. *)
+    let off = oneof [ int_range 0 60_000; int_range 49_152 70_000 ] and len = int_range 0 9_000 in
+    frequency
+      [ 3, map2 (fun a b -> X_create (a, b)) d f;
+        6, (fun st -> X_write (d st, f st, off st, len st));
+        2, (fun st -> X_truncate (d st, f st, int_range 0 70_000 st));
+        2, map2 (fun a b -> X_unlink (a, b)) d f;
+        1, map (fun a -> X_mkdir a) (int_range 1 2);
+        2, (fun st -> X_rename (d st, f st, d st, f st));
+        2, return X_sync;
+        1, return X_remount ])
+
+(* Directory 0 is the root, directory [k] is /d[k]. *)
+let xdir fs d =
+  let root = Ffs.root fs in
+  if d = 0 then root
+  else
+    match Ffs.dir_lookup fs root (Printf.sprintf "d%d" d) with
+    | Some (_, ino) -> Ffs.iget fs ino
+    | None -> Ffs.fail Error.Noent
+
+let xfile fs d f =
+  match Ffs.dir_lookup fs (xdir fs d) (Printf.sprintf "f%d" f) with
+  | Some (_, ino) -> Ffs.iget fs ino
+  | None -> Ffs.fail Error.Noent
+
+let x_step fs op =
+  let fname = Printf.sprintf "f%d" in
+  match op with
+  | X_create (d, f) -> ignore (Ffs.create_file fs (xdir fs d) ~name:(fname f))
+  | X_write (d, f, off, len) ->
+      let src = Bytes.init len (fun i -> Char.chr ((off + i + (7 * f)) land 0xff)) in
+      ignore (Ffs.write fs (xfile fs d f) ~off ~len ~src ~src_pos:0)
+  | X_truncate (d, f, n) -> Ffs.truncate fs (xfile fs d f) n
+  | X_unlink (d, f) -> Ffs.unlink fs (xdir fs d) ~name:(fname f)
+  | X_mkdir d -> ignore (Ffs.make_dir fs (Ffs.root fs) ~name:(Printf.sprintf "d%d" d))
+  | X_rename (d, f, d', f') ->
+      Ffs.rename fs (xdir fs d) ~src_name:(fname f) (xdir fs d') ~dst_name:(fname f')
+  | X_sync | X_remount -> Ffs.sync fs
+
+(* Every name and every file's bytes, depth first. *)
+let tree fs =
+  let b = Buffer.create 4096 in
+  let rec walk node =
+    List.iter
+      (fun name ->
+        let _, ino = Option.get (Ffs.dir_lookup fs node name) in
+        let n = Ffs.iget fs ino in
+        Buffer.add_string b (name ^ "\n");
+        if n.Ffs.i_kind = Ffs.K_dir then walk n
+        else begin
+          let data = Bytes.create n.Ffs.i_size in
+          ignore (Ffs.read fs n ~off:0 ~len:n.Ffs.i_size ~dst:data ~dst_pos:0);
+          Buffer.add_bytes b data
+        end)
+      (Ffs.dir_entries fs node)
+  in
+  walk (Ffs.root fs);
+  Buffer.contents b
+
+let prop_mapped_vs_copy =
+  QCheck.Test.make ~name:"ffs: mapped RAM disk == copy-only view, op by op" ~count:50
+    QCheck.(list_of_size Gen.(int_range 20 80) (make ~print:show_xop gen_xop))
+    (fun ops ->
+      let mdev = mem_dev ~mb:2 () and cdev = copy_only (mem_dev ~mb:2 ()) in
+      let mfs = ref (Ffs.newfs mdev) and cfs = ref (Ffs.newfs cdev) in
+      let counts fs =
+        let s = Buf.cache_stats fs.Ffs.bc in
+        s.Buf.cs_hits, s.Buf.cs_misses
+      in
+      List.iter
+        (fun op ->
+          let mr = attempt (fun () -> x_step !mfs op) and cr = attempt (fun () -> x_step !cfs op) in
+          if mr <> cr then QCheck.Test.fail_reportf "%s: results differ" (show_xop op);
+          if op = X_sync || op = X_remount then begin
+            if image mdev <> image cdev then
+              QCheck.Test.fail_reportf "%s: device images differ" (show_xop op);
+            let m = Buf.cache_stats !mfs.Ffs.bc and c = Buf.cache_stats !cfs.Ffs.bc in
+            if m.Buf.cs_reads <> 0 || c.Buf.cs_mapped <> 0 || c.Buf.cs_map_refused <> 0 then
+              QCheck.Test.fail_reportf "%s: a view took the other's path" (show_xop op)
+          end;
+          if op = X_remount then begin
+            mfs := Ffs.mount mdev;
+            cfs := Ffs.mount cdev
+          end;
+          if tree !mfs <> tree !cfs then QCheck.Test.fail_reportf "%s: trees differ" (show_xop op);
+          if counts !mfs <> counts !cfs then
+            QCheck.Test.fail_reportf "%s: hit/miss counts differ" (show_xop op))
+        ops;
+      true)
+
 (* ---- fsread + diskpart over the same image ---- *)
 
 let test_fsread_sees_ffs () =
@@ -648,6 +887,12 @@ let suite =
     Alcotest.test_case "persistence across remount" `Quick test_persistence_across_remount;
     Alcotest.test_case "error paths" `Quick test_errors;
     Alcotest.test_case "buffer cache" `Quick test_buffer_cache;
+    Alcotest.test_case "mapped: cold sendfile reads and copies nothing" `Quick
+      test_mapped_sendfile_cold;
+    Alcotest.test_case "mapped: newfs over 0xff == over zeros" `Quick
+      test_mapped_newfs_over_garbage;
+    Alcotest.test_case "mapped: short last page falls back" `Quick test_mapped_partial_last_page;
+    QCheck_alcotest.to_alcotest prop_mapped_vs_copy;
     QCheck_alcotest.to_alcotest prop_fs_model;
     Alcotest.test_case "rename onto the same inode" `Quick test_rename_same_inode;
     Alcotest.test_case "rename into own subtree" `Quick test_rename_into_subtree;

@@ -506,7 +506,12 @@ let test_buf_all_pinned_grows () =
   let s = Buf.cache_stats bc in
   Alcotest.(check int) "no evictions with everything pinned" 0 s.Buf.cs_evictions;
   Alcotest.(check int) "cache grew past max_bufs" 3 s.Buf.cs_cached;
-  List.iter (fun b -> Buf.unpin bc b) bs
+  List.iter (fun b -> Buf.unpin bc b) bs;
+  (* Once the pins drain, the next miss shrinks the cache back under the
+     limit: a pin storm does not grow it for good. *)
+  Buf.brelse (Buf.bread bc 3);
+  let s = Buf.cache_stats bc in
+  Alcotest.(check bool) "next miss shrinks back to max_bufs" true (s.Buf.cs_cached <= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Flags off: the stock HTTP/1.0 engine runs, and none of the new
