@@ -71,6 +71,7 @@ type result = {
   r_bufcache_hits : int;
   r_bufcache_misses : int;
   r_accepted : int;
+  r_xmits_per_resp : float;  (* the server card's transmit requests per response *)
 }
 
 (* Parse "Content-Length: N" out of a response header block. *)
@@ -229,7 +230,7 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
       warm := true);
   (* Counter baseline: everything after this point is the measured run
      plus nothing else (reset_globals cleared the rest). *)
-  let c0_hits = ref 0 and c0_misses = ref 0 in
+  let c0_hits = ref 0 and c0_misses = ref 0 and x0 = ref 0 in
   for i = 0 to clients - 1 do
     Clientos.spawn chost ~name:(Printf.sprintf "c%d" i) (fun () ->
         Kclock.sleep_ns (4_000_000 + (i * 200));
@@ -238,7 +239,8 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
         done;
         if !c0_hits = 0 && !c0_misses = 0 then begin
           c0_hits := Cost.counters.Cost.bufcache_hits;
-          c0_misses := Cost.counters.Cost.bufcache_misses
+          c0_misses := Cost.counters.Cost.bufcache_misses;
+          x0 := Nic.xmit_count server.Clientos.nic
         end;
         if knobs.k_keepalive then
           do_requests_11 ~record:true ~first_file:i reqs_per_client
@@ -276,4 +278,6 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
     r_copied_per_req = float_of_int st.Httpd.body_bytes_copied /. float_of_int (max 1 total);
     r_bufcache_hits = Cost.counters.Cost.bufcache_hits - !c0_hits;
     r_bufcache_misses = Cost.counters.Cost.bufcache_misses - !c0_misses;
-    r_accepted = st.Httpd.accepted }
+    r_accepted = st.Httpd.accepted;
+    r_xmits_per_resp =
+      float_of_int (Nic.xmit_count server.Clientos.nic - !x0) /. float_of_int total }

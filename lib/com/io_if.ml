@@ -101,6 +101,23 @@ type tx_offload = {
 
 let tx_offload_iid : tx_offload Iid.t = Iid.declare "oskit.tx_offload"
 
+(** {1 Receive checksum offload}
+
+    The receive counterpart: an optional face of a received {!bufio}
+    carrying the device's checksum verdict up (Linux's
+    CHECKSUM_UNNECESSARY, FreeBSD's CSUM_DATA_VALID|CSUM_PSEUDO_HDR).  As
+    with {!tx_offload}, a producer that exports it does so on every packet
+    it pushes, verified or not. *)
+
+type rx_offload = {
+  rxo_unknown : Com.unknown;
+  rxo_csum_valid : unit -> bool;
+      (** the device verified the packet's TCP checksum, pseudo-header
+          included; [false] leaves the check to the consumer *)
+}
+
+let rx_offload_iid : rx_offload Iid.t = Iid.declare "oskit.rx_offload"
+
 (** {1 Network I/O}
 
     Push-style packet exchange.  When the client opens a device it passes

@@ -330,6 +330,8 @@ let netstat st =
   let c = Cost.counters in
   line "  %d offload bursts cut into %d wire frames" c.Cost.tso_bursts c.Cost.tso_frames;
   line "  %d transmit checksums offloaded" c.Cost.csum_offloads;
+  line "  %d received segments verified by the card" c.Cost.csum_rx_verified;
+  line "  %d received segments summed in software" tcp.Tcp.rcvswcsum;
   line "  %d offload requests refused by the card" c.Cost.offload_refused;
   line "  %d TSO packets dropped at the IP fragmenter" ip.Ip.tso_drops;
   line "event:";

@@ -43,7 +43,11 @@ let bufio_of_mbuf m =
     (* The packet's csum_flags/tso_segsz, for the driver side to turn into
        its own offload request. *)
     { Io_if.txo_unknown = unknown ();
-      txo_csum = (fun () -> m.Mbuf.m_csum <> Mbuf.Csum_none);
+      txo_csum =
+        (fun () ->
+          match m.Mbuf.m_csum with
+          | Mbuf.Csum_tcp | Mbuf.Csum_tso _ -> true
+          | Mbuf.Csum_none | Mbuf.Csum_rx_valid -> false);
       txo_segsz = (fun () -> match m.Mbuf.m_csum with Mbuf.Csum_tso n -> n | _ -> 0) }
   and obj =
     lazy
@@ -95,10 +99,20 @@ let open_ether_if stack (ed : Io_if.etherdev) =
   (* The stack learns the device's station address. *)
   ifp.Netif.if_hwaddr <- ed.Io_if.ed_ethaddr ();
   let recv_netio =
-    (* One recognition verdict per receive binding (see Linux_glue). *)
-    let cache = ref None in
+    (* One recognition verdict per receive binding (see Linux_glue), and
+       one for whether the producer carries the card's checksum verdict. *)
+    let cache = ref None and rx_offload = ref None in
     let input_one io =
       let m, _copied = mbuf_of_bufio ~cache io in
+      if Netif.offload ifp Netif.ifcap_rxcsum && !rx_offload <> Some false then begin
+        Cost.count_com_call ();
+        match Com.query io.Io_if.buf_unknown Io_if.rx_offload_iid with
+        | Ok o ->
+            rx_offload := Some true;
+            if o.Io_if.rxo_csum_valid () then m.Mbuf.m_csum <- Mbuf.Csum_rx_valid;
+            ignore (io.Io_if.buf_unknown.Com.release ())
+        | Result.Error _ -> rx_offload := Some false
+      end;
       Netif.ether_input ifp m
     in
     let rec view () =
@@ -129,8 +143,9 @@ let open_ether_if stack (ed : Io_if.etherdev) =
          refused (counted in if_oerrors, as the wire frames it would have
          become), and the chains can be retired.  The offload requests
          ride each packet's bufio to the driver, which hands them to the
-         card. *)
-      ifp.Netif.if_capabilities <- Netif.ifcap_txcsum lor Netif.ifcap_tso4;
+         card; the card's receive verdicts ride the received bufios up. *)
+      ifp.Netif.if_capabilities <-
+        Netif.ifcap_rxcsum lor Netif.ifcap_txcsum lor Netif.ifcap_tso4;
       let unsent m = ifp.Netif.if_oerrors <- ifp.Netif.if_oerrors + Netif.wire_frames m in
       let xmit_one m =
         (match xmit.Io_if.push (bufio_of_mbuf m) with

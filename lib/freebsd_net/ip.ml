@@ -89,7 +89,7 @@ let emit t m ~proto ~src ~dst ~ttl ~id ~frag_off ~more_frags =
    length; clear it and sum the segment over the full pseudo-header. *)
 let delayed_cksum m ~src ~dst =
   match m.Mbuf.m_csum with
-  | Mbuf.Csum_none -> ()
+  | Mbuf.Csum_none | Mbuf.Csum_rx_valid -> ()
   | Mbuf.Csum_tcp | Mbuf.Csum_tso _ ->
       m.Mbuf.m_csum <- Mbuf.Csum_none;
       let d = m.Mbuf.m_data and o = m.Mbuf.m_off in

@@ -29,11 +29,13 @@ let mclbytes = 2048 (* cluster size *)
    where) to recycle it. *)
 type storage = Pool_small | Pool_clust | Foreign
 
-(* The donor's m_pkthdr.csum_flags and tso_segsz, folded into one word:
-   what the stack left to the card on transmit.  [Csum_tcp] is CSUM_TCP
+(* The donor's m_pkthdr.csum_flags and tso_segsz, folded into one word.
+   On transmit, what the stack left to the card: [Csum_tcp] is CSUM_TCP
    (the card writes the TCP checksum); [Csum_tso segsz] adds CSUM_TSO (the
-   card cuts the payload into [segsz]-byte segments). *)
-type csum = Csum_none | Csum_tcp | Csum_tso of int
+   card cuts the payload into [segsz]-byte segments).  On receive,
+   [Csum_rx_valid] is CSUM_DATA_VALID|CSUM_PSEUDO_HDR: the card verified
+   the TCP checksum, pseudo-header included, so tcp_input need not sum. *)
+type csum = Csum_none | Csum_tcp | Csum_tso of int | Csum_rx_valid
 
 type mbuf = {
   mutable m_next : mbuf option;
@@ -51,7 +53,7 @@ type mbuf = {
          path uses to unpin loaned buffer-cache blocks.  m_copym copies
          propagate it alongside m_refs, so retransmit aliases keep the
          block pinned until the final free. *)
-  mutable m_csum : csum; (* transmit offload request; head mbuf only *)
+  mutable m_csum : csum; (* offload request or verdict; head mbuf only *)
 }
 
 let stats_allocated = ref 0
@@ -434,7 +436,7 @@ let m_fragments ?(off = 0) ?len m =
 let m_tso m ~th =
   match m.m_csum with
   | Csum_tso segsz -> Some ((Char.code (Bytes.get m.m_data (m.m_off + th + 12)) lsr 4) * 4, segsz)
-  | Csum_none | Csum_tcp -> None
+  | Csum_none | Csum_tcp | Csum_rx_valid -> None
 
 (* How many wire frames a packet becomes: one, or for a TSO request one
    per [segsz] bytes of TCP payload. *)

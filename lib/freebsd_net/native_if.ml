@@ -11,15 +11,17 @@ let attach stack nic =
   let ifp = stack.Bsd_socket.ifp in
   ifp.Netif.if_hwaddr <- Nic.mac nic;
   (* The card checksums and segments; the driver passes each packet's
-     csum_flags/tso_segsz to it, the same request the OSKit glue carries
-     to the same card, so the two attachments compare fairly. *)
-  ifp.Netif.if_capabilities <- Netif.ifcap_txcsum lor Netif.ifcap_tso4;
+     csum_flags/tso_segsz to it, and each received frame's checksum
+     verdict up, the same requests and verdicts the OSKit glue carries to
+     and from the same card, so the two attachments compare fairly. *)
+  ifp.Netif.if_capabilities <-
+    Netif.ifcap_rxcsum lor Netif.ifcap_txcsum lor Netif.ifcap_tso4;
   ifp.Netif.if_xmit <-
     (fun m ->
       Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
       let offload =
         match m.Mbuf.m_csum with
-        | Mbuf.Csum_none -> None
+        | Mbuf.Csum_none | Mbuf.Csum_rx_valid -> None
         | Mbuf.Csum_tcp -> Some Nic.Csum
         | Mbuf.Csum_tso segsz -> Some (Nic.Tso segsz)
       in
@@ -33,6 +35,8 @@ let attach stack nic =
   let deliver frame () =
     Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
     let m = Mbuf.m_ext_wrap frame ~off:0 ~len:(Bytes.length frame) in
+    if Netif.offload ifp Netif.ifcap_rxcsum && Nic.rx_csum_verified frame then
+      m.Mbuf.m_csum <- Mbuf.Csum_rx_valid;
     Netif.ether_input ifp m
   in
   let ncpus = Machine.ncpus machine in

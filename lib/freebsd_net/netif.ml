@@ -10,7 +10,9 @@ let ethertype_ip = 0x0800
 let ethertype_arp = 0x0806
 let ether_broadcast = "\xff\xff\xff\xff\xff\xff"
 
-(* if_capabilities bits (the donor's IFCAP_TXCSUM and IFCAP_TSO4). *)
+(* if_capabilities bits (the donor's IFCAP_RXCSUM, IFCAP_TXCSUM and
+   IFCAP_TSO4). *)
+let ifcap_rxcsum = 0x0001
 let ifcap_txcsum = 0x0002
 let ifcap_tso4 = 0x0100
 
@@ -56,11 +58,11 @@ let ifconfig ifp ~addr ~mask =
 let same_subnet ifp other =
   Int32.logand other ifp.if_mask = Int32.logand ifp.if_addr ifp.if_mask
 
-(* Whether transmit offload [cap] is in effect: the attachment carries it
-   and the modern transmit path is on.  Gating on [Cost.config.sg_tx]
-   follows Linux's feature rule — no TSO on a device without
-   scatter-gather, no scatter-gather without checksum offload — so the
-   one knob turns on all three together. *)
+(* Whether offload [cap] is in effect: the attachment carries it and the
+   modern transmit path is on.  Gating on [Cost.config.sg_tx] follows
+   Linux's feature rule — no TSO on a device without scatter-gather, no
+   scatter-gather without checksum offload — so the one knob turns on all
+   of them together, the receive checksum with them. *)
 let offload ifp cap = Cost.config.Cost.sg_tx && ifp.if_capabilities land cap <> 0
 
 (* Wire frames one full frame becomes at the card. *)

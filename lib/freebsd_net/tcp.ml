@@ -77,6 +77,7 @@ type stats = {
   mutable rcvdup : int;
   mutable rcvoo : int;
   mutable rcvbadsum : int;
+  mutable rcvswcsum : int;  (* segments whose checksum the stack summed itself *)
   mutable rcvshort : int;    (* segments shorter than a TCP header *)
   mutable rcvafterwin : int; (* data wholly or partly beyond the window *)
   mutable delack : int;
@@ -1637,9 +1638,17 @@ and input_segment t ~src ~dst m =
     Mbuf.m_freem m
   end
   else begin
+    (* A segment the card verified (CSUM_DATA_VALID|CSUM_PSEUDO_HDR) is
+       not summed again; any other is summed here, every byte. *)
     let sum =
-      In_cksum.cksum_chain m ~off:0 ~len:total
-        ~init:(In_cksum.pseudo_header ~src ~dst ~proto:Ip.proto_tcp ~len:total)
+      match m.Mbuf.m_csum with
+      | Mbuf.Csum_rx_valid ->
+          Cost.count_csum_rx_verified ();
+          0
+      | Mbuf.Csum_none | Mbuf.Csum_tcp | Mbuf.Csum_tso _ ->
+          bump t (fun s -> s.rcvswcsum <- s.rcvswcsum + 1);
+          In_cksum.cksum_chain m ~off:0 ~len:total
+            ~init:(In_cksum.pseudo_header ~src ~dst ~proto:Ip.proto_tcp ~len:total)
     in
     if sum <> 0 then begin
       slowpath ();
@@ -1726,7 +1735,7 @@ and input_segment t ~src ~dst m =
 
 let make_stats () =
   { sndpack = 0; sndrexmitpack = 0; rcvpack = 0; rcvdup = 0; rcvoo = 0;
-    rcvbadsum = 0; rcvshort = 0; rcvafterwin = 0; delack = 0; fastrexmit = 0;
+    rcvbadsum = 0; rcvswcsum = 0; rcvshort = 0; rcvafterwin = 0; delack = 0; fastrexmit = 0;
     drops = 0; accepts = 0; connects = 0; listen_overflow = 0;
     predack = 0; preddat = 0; predfallback = 0;
     syncache_added = 0; syncache_evicted = 0; syncache_completed = 0;

@@ -307,6 +307,25 @@ let release_resp r =
     List.iter (fun f -> f.Io_if.fr_release ()) r.rs_frags
   end
 
+(* The head of the response queue and the fragment-only responses
+   queued behind it, in order: what one scatter send can carry. *)
+let leading_frag_run pending =
+  let frag_only r = Bytes.length r.rs_data = 0 && r.rs_frags <> [] in
+  match Queue.to_seq pending () with
+  | Seq.Nil -> []
+  | Seq.Cons (head, rest) -> head :: List.of_seq (Seq.take_while frag_only rest)
+
+(* Hand [n] accepted bytes to [batch]'s responses in order; a response
+   whose last byte went drops its pins at once. *)
+let rec credit batch n =
+  match batch with
+  | [] -> ()
+  | r :: rest ->
+      let k = min n (r.rs_blen - r.rs_bsent) in
+      r.rs_bsent <- r.rs_bsent + k;
+      if r.rs_bsent >= r.rs_blen then release_resp r;
+      if n > k then credit rest (n - k)
+
 let header_11 ~v11 ~status ~reason ~len ~keep =
   Printf.sprintf
     "HTTP/%s %d %s\r\nServer: oskit-httpd\r\nContent-Type: application/octet-stream\r\n\
@@ -635,13 +654,20 @@ let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
             match sv with
             | None -> finish () (* unreachable: mapped bodies need the face *)
             | Some sv_ -> (
-                match sv_.Io_if.sv_send_frags ~frags:r.rs_frags ~pos:r.rs_bsent with
+                (* One send for the queue's leading run of built
+                   fragment-only responses, as Apache's core output
+                   filter holds its flush while pipelined requests
+                   remain: a pipeline leaves in one tcp_output train, and
+                   no response waits for one not yet built. *)
+                let batch = leading_frag_run pending in
+                match
+                  sv_.Io_if.sv_send_frags
+                    ~frags:(List.concat_map (fun r -> r.rs_frags) batch)
+                    ~pos:r.rs_bsent
+                with
                 | Ok n ->
-                    r.rs_bsent <- r.rs_bsent + n;
-                    if r.rs_bsent >= r.rs_blen then begin
-                      release_resp r;
-                      complete_resp ()
-                    end
+                    credit batch n;
+                    if r.rs_bsent >= r.rs_blen then complete_resp ()
                     else if n > 0 then on_writable ()
                 | Result.Error Error.Wouldblock -> ()
                 | Result.Error _ -> finish ()))

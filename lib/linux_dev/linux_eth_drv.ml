@@ -52,10 +52,14 @@ let eth_type_trans skb =
 (* Wrap one received DMA buffer in an sk_buff (the card DMAed it; no CPU
    copy).  The per-frame hardware work (ring handling, device programming)
    is charged per frame whatever the batch budget; the budget changes only
-   how many frames ride one upcall into the stack. *)
+   how many frames ride one upcall into the stack.  On the modern path
+   (NETIF_F_RXCSUM rides with the transmit offloads) the card's checksum
+   verdict becomes CHECKSUM_UNNECESSARY. *)
 let wrap_rx dev frame =
   Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
   let skb = Skbuff.skb_wrap frame in
+  if Cost.config.Cost.sg_tx && Nic.rx_csum_verified frame then
+    skb.Skbuff.ip_summed <- Skbuff.checksum_unnecessary;
   skb.Skbuff.dev_name <- dev.name;
   ignore (eth_type_trans skb);
   dev.rx_packets <- dev.rx_packets + 1;

@@ -47,9 +47,22 @@ let bufio_of_skb skb =
       buf_map_v = (fun () -> Some (Skbuff.skb_fragments skb)) }
   and obj =
     lazy
-      (Com.create (fun _ ->
-           [ Iid.B (Io_if.bufio_iid, fun () -> view ());
-             Iid.B (skbuff_iid, fun () -> skb) ]))
+      (Com.create (fun self ->
+           let faces =
+             [ Iid.B (Io_if.bufio_iid, fun () -> view ());
+               Iid.B (skbuff_iid, fun () -> skb) ]
+           in
+           (* The card's receive verdict crosses on the modern path only,
+              with the rest of the offload state. *)
+           if not Cost.config.Cost.sg_tx then faces
+           else
+             Iid.B
+               ( Io_if.rx_offload_iid,
+                 fun () ->
+                   { Io_if.rxo_unknown = self;
+                     rxo_csum_valid =
+                       (fun () -> skb.Skbuff.ip_summed = Skbuff.checksum_unnecessary) } )
+             :: faces))
   and unknown () = Lazy.force obj in
   view ()
 

@@ -38,14 +38,16 @@ type sk_buff = {
          (hard_start_xmit's gather DMA) accept one; everything else calls
          [skb_linearize] first. *)
   mutable ip_summed : int;
-      (* [checksum_none]: the stack checksummed the packet;
-         [checksum_partial]: the device writes the transport checksum. *)
+      (* Transmit: [checksum_none], the stack checksummed the packet;
+         [checksum_partial], the device writes the transport checksum.
+         Receive: [checksum_unnecessary], the device verified it. *)
   mutable gso_size : int;
       (* skb_shinfo(skb)->gso_size: > 0 asks the device to cut the TCP
          payload into segments of this size (NETIF_F_TSO); 0 otherwise. *)
 }
 
 let checksum_none = 0
+let checksum_unnecessary = 1
 let checksum_partial = 3
 
 exception Skb_over_panic

@@ -153,6 +153,7 @@ type counters = {
   mutable tso_bursts : int;
   mutable tso_frames : int;
   mutable csum_offloads : int;
+  mutable csum_rx_verified : int;
   mutable offload_refused : int;
   mutable fastpath_hits : int;
   mutable fastpath_fallbacks : int;
@@ -183,7 +184,8 @@ type counters = {
 let make_counters () =
   { copies = 0; copied_bytes = 0; glue_crossings = 0; com_calls = 0;
     checksummed_bytes = 0; sg_xmits = 0; linearized_xmits = 0;
-    tso_bursts = 0; tso_frames = 0; csum_offloads = 0; offload_refused = 0;
+    tso_bursts = 0; tso_frames = 0; csum_offloads = 0; csum_rx_verified = 0;
+    offload_refused = 0;
     fastpath_hits = 0; fastpath_fallbacks = 0;
     pcb_cache_hits = 0; pcb_cache_misses = 0;
     rx_polls = 0; rx_batched_frames = 0;
@@ -212,6 +214,7 @@ let clear_counters c =
   c.tso_bursts <- 0;
   c.tso_frames <- 0;
   c.csum_offloads <- 0;
+  c.csum_rx_verified <- 0;
   c.offload_refused <- 0;
   c.fastpath_hits <- 0;
   c.fastpath_fallbacks <- 0;
@@ -287,6 +290,8 @@ let count_tso ~frames =
       c.tso_bursts <- c.tso_bursts + 1;
       c.tso_frames <- c.tso_frames + frames)
 let count_csum_offload () = bump (fun c -> c.csum_offloads <- c.csum_offloads + 1)
+let count_csum_rx_verified () =
+  bump (fun c -> c.csum_rx_verified <- c.csum_rx_verified + 1)
 let count_offload_refused () =
   bump (fun c -> c.offload_refused <- c.offload_refused + 1)
 let count_fastpath_hit () = bump (fun c -> c.fastpath_hits <- c.fastpath_hits + 1)

@@ -263,6 +263,9 @@ type counters = {
           each, cut by the card *)
   mutable tso_frames : int;  (** wire frames those bursts became *)
   mutable csum_offloads : int;  (** TCP checksums a NIC wrote, one per wire frame *)
+  mutable csum_rx_verified : int;
+      (** received TCP segments whose checksum the NIC verified, so the
+          stack summed none of their bytes *)
   mutable offload_refused : int;
       (** malformed offload requests a NIC refused (and did not send) *)
   mutable fastpath_hits : int;  (** segments taken by header prediction *)
@@ -333,6 +336,7 @@ val count_sg_xmit : unit -> unit
 val count_linearized_xmit : unit -> unit
 val count_tso : frames:int -> unit
 val count_csum_offload : unit -> unit
+val count_csum_rx_verified : unit -> unit
 val count_offload_refused : unit -> unit
 val count_fastpath_hit : unit -> unit
 val count_fastpath_fallback : unit -> unit

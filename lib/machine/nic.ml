@@ -215,6 +215,32 @@ let segment frags ~len ~hlen ~mss =
       tcp_cksum f;
       f)
 
+(* Receive checksum offload: the card's verdict on one received frame, as
+   an e1000-class card writes it into the frame's receive descriptor.  The
+   card checks only what it can check whole: an Ethernet frame carrying an
+   option-less, unfragmented IPv4/TCP packet that the frame holds, whose
+   TCP checksum over the pseudo-header verifies.  Anything else, and a
+   frame that fails the sum, gets no verdict and is left to the stack's
+   software checksum, which then counts the damage.  The check runs in the
+   device and charges nothing; it reads the frame as it arrived, since
+   nothing writes a received frame before the driver asks. *)
+let rx_csum_verified frame =
+  let len = Bytes.length frame in
+  let u8 i = Bytes.get_uint8 frame i and u16 i = Bytes.get_uint16_be frame i in
+  len >= tcp_off + 20
+  && u16 12 = 0x0800
+  && u8 ip_off = 0x45
+  && u8 (ip_off + 9) = 6
+  && u16 (ip_off + 6) land 0x3fff = 0
+  &&
+  let tlen = u16 (ip_off + 2) - 20 in
+  tlen >= 20 && tcp_off + tlen <= len
+  && u8 (tcp_off + 12) lsr 4 * 4 >= 20
+  && u8 (tcp_off + 12) lsr 4 * 4 <= tlen
+  && finish
+       (ones_sum frame (ip_off + 12) 8 + 6 + tlen + ones_sum frame tcp_off tlen)
+     = 0
+
 let frags_len frags = List.fold_left (fun a (_, _, n) -> a + n) 0 frags
 
 (* Bus-master DMA out of driver memory is charged per byte, cheaper than a

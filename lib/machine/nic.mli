@@ -79,6 +79,16 @@ val transmit : t -> ?offload:offload -> bytes -> unit
     wire frame.  Zero CPU copy for the caller. *)
 val transmit_v : t -> ?offload:offload -> (bytes * int * int) list -> unit
 
+(** {2 Receive checksum offload}
+
+    [rx_csum_verified frame] is the card's verdict on a frame it received:
+    [true] when the frame carries an option-less, unfragmented
+    Ethernet/IPv4/TCP packet whose TCP checksum over the pseudo-header
+    verifies.  A frame the card cannot check whole, or one that fails the
+    sum, gets [false]: no verdict, and the stack sums it in software.  The
+    check runs in the device and charges no CPU cycles. *)
+val rx_csum_verified : bytes -> bool
+
 (** [pop_rx t] takes the oldest received frame off the ring, if any.  Used
     by the driver's interrupt handler. *)
 val pop_rx : t -> bytes option

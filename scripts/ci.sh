@@ -56,7 +56,10 @@
 #             close-per-request at 10k requests; warm sendfile rows copy
 #             no body bytes; rows with bodies <= 16 KB make no more
 #             buffer-cache lookups per response than the directory's
-#             blocks plus the body's.
+#             blocks plus the body's; at 10k requests the pipelined
+#             ka+sendfile+sg row makes strictly fewer server driver
+#             transmits per response (xmits_per_resp) than the serial
+#             one, since a pipeline's responses leave in one send.
 # perfbench content (one traced second at seed 1): the end-to-end content
 #   workload byte-checks every response, checks that repetitions agree
 #   and that the traced run's virtual numbers equal the untraced run's,

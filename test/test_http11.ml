@@ -3,7 +3,8 @@
    sequences byte-exact against N separate HTTP/1.0 connections,
    pipelined responses strictly in order, the idle timeout and the
    per-connection request cap, sendfile-vs-copy body byte-exactness
-   across block boundaries (also under 2% loss), buffer-cache pin and
+   across block boundaries (also under 2% loss), one sendv per pipeline
+   of sendfile responses with every pin returned, buffer-cache pin and
    eviction hardening, and the flags-off world untouched. *)
 
 let ip = Oskit.ip_of_string
@@ -47,7 +48,7 @@ let file_name i = Printf.sprintf "f%d.bin" i
 
 let make_root sizes =
   let dev = Mem_blkio.make ~bytes:(4 * 1024 * 1024) () in
-  let root = ok (Fs_glue.newfs dev) in
+  let fs, root = ok (Fs_glue.newfs_fs dev) in
   let bodies =
     List.mapi
       (fun fi size ->
@@ -63,11 +64,12 @@ let make_root sizes =
         Bytes.to_string body)
       sizes
   in
-  (root, Array.of_list bodies)
+  (fs, root, Array.of_list bodies)
 
 (* Serve [sizes] from host_b in [mode]; [f] drives clients on host_a and
-   must eventually make [until] true. *)
-let rig ?loss ?(mode = `Reactor) ~sizes ~until f =
+   must eventually make [until] true.  [wrap] re-exports the listening
+   socket; [on_fs] sees the served file system before any request. *)
+let rig ?loss ?(mode = `Reactor) ?(wrap = Fun.id) ?(on_fs = ignore) ~sizes ~until f =
   Clientos.reset_globals ();
   Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
@@ -77,9 +79,10 @@ let rig ?loss ?(mode = `Reactor) ~sizes ~until f =
         (Some (Netem.create ~seed:29 ~policy:{ Netem.default_policy with loss = l } ()))
   | None -> ());
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root, bodies = make_root sizes in
+  let fs, root, bodies = make_root sizes in
+  on_fs fs;
   let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-  let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
+  let sock = wrap (Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack)) in
   let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
   let server_stats = ref None in
   let reactor = Reactor.create () in
@@ -451,6 +454,134 @@ let prop_sendfile_byte_exact =
       && cp_st.Httpd.body_bytes_copied = size)
 
 (* ------------------------------------------------------------------ *)
+(* One send per pipeline: the keep-alive engine hands the queue's
+   leading run of built sendfile responses to the socket in one sendv
+   call, credits the accepted bytes in order, and drops each response's
+   pins exactly once.                                                   *)
+
+(* [wrap] for [rig]: every accepted connection is re-exported with its
+   sendv calls counted in [calls] (and its send buffer set to [sndbuf]
+   bytes, if given). *)
+let counting_listener ?sndbuf calls (sock : Io_if.socket) =
+  let wrap (c : Io_if.socket) =
+    Option.iter (fun n -> ok (c.Io_if.so_setsockopt "sndbuf" n)) sndbuf;
+    let aio = ok (Com.query c.Io_if.so_unknown Io_if.asyncio_iid) in
+    let sv = ok (Com.query c.Io_if.so_unknown Io_if.sendv_iid) in
+    let counted =
+      { sv with
+        Io_if.sv_send_frags =
+          (fun ~frags ~pos ->
+            incr calls;
+            sv.Io_if.sv_send_frags ~frags ~pos) }
+    in
+    let rec obj =
+      lazy
+        (Com.create (fun _ ->
+             [ Iid.B (Io_if.socket_iid, view);
+               Iid.B (Io_if.asyncio_iid, fun () -> aio);
+               Iid.B (Io_if.sendv_iid, fun () -> counted) ]))
+    and view () = { c with Io_if.so_unknown = Lazy.force obj } in
+    view ()
+  in
+  { sock with
+    Io_if.so_accept = (fun () -> Result.map (fun (c, peer) -> (wrap c, peer)) (sock.Io_if.so_accept ())) }
+
+let close_request fi =
+  Printf.sprintf "GET /%s HTTP/1.1\r\nHost: b\r\nConnection: close\r\n\r\n" (file_name fi)
+
+(* Eight GETs pipelined in one segment at a sendfile+sg reactor server;
+   request [close_at] (if any) asks to close.  Runs until the client is
+   done and every pin came back, checks that they did, and returns the
+   replies read before EOF, the expected bodies, the server's stats, the
+   sendv calls, and the pins taken. *)
+let pipeline8 ?sndbuf ?close_at () =
+  let order = [ 0; 1; 2; 1; 0; 2; 2; 0 ] in
+  let got = ref [] and done_f = ref false and calls = ref 0 in
+  let fs = ref None and base = ref None in
+  let pins () = Buf.cache_stats (Option.get !fs).Ffs.bc in
+  (* Settled: the client is done and every pin taken came back, or the
+     ACKs still in flight have had 10,000 simulation steps to bring them
+     back (the checks below then fail). *)
+  let grace = ref 10_000 in
+  let settled () =
+    !done_f
+    && (decr grace;
+        !grace < 0
+        ||
+        let s = pins () and b = Option.get !base in
+        s.Buf.cs_pins - s.Buf.cs_unpins = b.Buf.cs_pins - b.Buf.cs_unpins
+        && s.Buf.cs_pinned = b.Buf.cs_pinned)
+  in
+  let st =
+    with_http11 ~sendfile:true ~sg:true (fun () ->
+        rig ~sizes:sizes3 ~wrap:(counting_listener ?sndbuf calls)
+          ~on_fs:(fun f ->
+            fs := Some f;
+            base := Some (pins ()))
+          ~until:settled
+          (fun chost cstack _bodies ->
+            Clientos.spawn chost ~name:"pipe8" (fun () ->
+                Kclock.sleep_ns 3_000_000;
+                let s = Bsd_socket.tcp_socket cstack in
+                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
+                push_str s
+                  (String.concat ""
+                     (List.mapi
+                        (fun i fi ->
+                          if Some i = close_at then close_request fi else get_request fi)
+                        order));
+                let next = framer s in
+                let rec read () =
+                  match next () with
+                  | Some r ->
+                      got := r :: !got;
+                      read ()
+                  | None -> ()
+                in
+                read ();
+                ignore (Bsd_socket.so_close s);
+                done_f := true)))
+  in
+  let expect =
+    List.map
+      (fun fi -> String.init (List.nth sizes3 fi) (fun i -> Char.chr (pattern ~file:fi i)))
+      order
+  in
+  let s = pins () and b = Option.get !base in
+  Alcotest.(check int) "every pin released exactly once" (b.Buf.cs_pins - b.Buf.cs_unpins)
+    (s.Buf.cs_pins - s.Buf.cs_unpins);
+  Alcotest.(check int) "buffers held back at the baseline" b.Buf.cs_pinned s.Buf.cs_pinned;
+  (List.rev !got, expect, st, !calls, s.Buf.cs_pins - b.Buf.cs_pins)
+
+let check_replies what replies expect =
+  Alcotest.(check (list string)) (what ^ ": byte-exact, in request order") expect
+    (List.map snd replies);
+  List.iter
+    (fun (hdr, _) -> Alcotest.(check string) (what ^ ": status") "200" (status_of hdr))
+    replies
+
+let test_pipeline_one_send () =
+  let replies, expect, st, calls, pinned = pipeline8 () in
+  check_replies "8 pipelined" replies expect;
+  Alcotest.(check int) "the server saw 7 pipelined requests" 7 st.Httpd.pipelined;
+  Alcotest.(check int) "every body went by sendfile" 8 st.Httpd.sendfile_bodies;
+  Alcotest.(check int) "the whole pipeline left in one sendv call" 1 calls;
+  Alcotest.(check bool) "bodies were pinned" true (pinned > 0)
+
+let test_pipeline_small_sndbuf () =
+  let replies, expect, _, calls, _ = pipeline8 ~sndbuf:2048 () in
+  check_replies "2 KB send buffer" replies expect;
+  Alcotest.(check bool) "the batch drained over many sendv calls" true (calls > 8)
+
+let test_pipeline_close_mid_batch () =
+  let replies, expect, st, calls, _ = pipeline8 ~close_at:3 () in
+  check_replies "close at the 4th" replies (List.filteri (fun i _ -> i < 4) expect);
+  Alcotest.(check bool) "the 4th reply says close" true
+    (index_of (String.lowercase_ascii (fst (List.nth replies 3))) "connection: close" <> None);
+  Alcotest.(check int) "requests after the close were never answered" 4 st.Httpd.responses;
+  Alcotest.(check int) "one sendv call" 1 calls
+
+(* ------------------------------------------------------------------ *)
 (* Buffer-cache hardening: true-LRU eviction, pinned buffers are never
    victims, and an all-pinned cache grows instead of evicting.          *)
 
@@ -570,5 +701,11 @@ let suite =
       test_buf_pinned_never_evicted;
     Alcotest.test_case "buf cache: all-pinned cache grows, never steals" `Quick
       test_buf_all_pinned_grows;
+    Alcotest.test_case "pipeline: 8 sendfile responses leave in one sendv, pins back"
+      `Quick test_pipeline_one_send;
+    Alcotest.test_case "pipeline: a 2 KB send buffer drains the batch byte-exact" `Quick
+      test_pipeline_small_sndbuf;
+    Alcotest.test_case "pipeline: Connection: close mid-batch ends after its bytes" `Quick
+      test_pipeline_close_mid_batch;
     Alcotest.test_case "flags off: stock 1.0 engine, new counters untouched" `Quick
       test_flags_off_untouched ]

@@ -4,7 +4,10 @@
    frames and writes their checksums.  Every wire frame is checked against
    the kit's own In_cksum, the card's malformed requests and the
    fragmenter's TSO drops are counted, and transfers over write sizes, MSS
-   and loss stay byte-exact on both attachments. *)
+   and loss stay byte-exact on both attachments.  On receive the card
+   verifies TCP checksums: a clean offloaded transfer sums no TCP byte in
+   software, a damaged frame gets no verdict and is caught in software,
+   and with sg off the stacks sum exactly what they summed before. *)
 
 let ok = Test_sg.ok
 let ip = Test_sg.ip
@@ -68,25 +71,19 @@ type pair = {
   frames : unit -> bytes list;
 }
 
-(* A sender on [att] connected to a native FreeBSD receiver that reads to
-   end of stream. *)
-let connected ?netem att =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed () in
-  Option.iter (fun em -> Wire.set_netem tb.Clientos.wire (Some em)) netem;
-  let frames = tap tb.Clientos.wire in
-  let a = ip "10.0.0.1" and b = ip "10.0.0.2" in
-  let stack =
-    match att with
-    | Glue -> fst (Test_sg.oskit_stack tb.Clientos.host_a ~addr:a)
-    | Native -> Clientos.freebsd_host tb.Clientos.host_a ~ip:a ~mask
-  in
-  let peer = Clientos.freebsd_host tb.Clientos.host_b ~ip:b ~mask in
-  let received = Buffer.create 4096 and eof = ref false and sock = ref None in
-  Clientos.spawn tb.Clientos.host_b ~name:"receiver" (fun () ->
-      let l = Bsd_socket.tcp_socket peer in
-      ok (Bsd_socket.so_bind l ~port:7002);
+(* A FreeBSD stack at [addr] on [host], attached by [att]. *)
+let stack_on att (host : Clientos.host) addr =
+  match att with
+  | Glue -> fst (Test_sg.oskit_stack host ~addr)
+  | Native -> Clientos.freebsd_host host ~ip:addr ~mask
+
+(* A receiver on [host] that accepts one connection on [port] and reads
+   it to end of stream. *)
+let sink host stack ~port =
+  let received = Buffer.create 4096 and eof = ref false in
+  Clientos.spawn host ~name:"receiver" (fun () ->
+      let l = Bsd_socket.tcp_socket stack in
+      ok (Bsd_socket.so_bind l ~port);
       ok (Bsd_socket.so_listen l ~backlog:1);
       let c = ok (Bsd_socket.so_accept l) in
       let buf = Bytes.create 16384 in
@@ -98,6 +95,20 @@ let connected ?netem att =
             loop ()
       in
       loop ());
+  received, eof
+
+(* A sender on [att] connected to a native FreeBSD receiver that reads to
+   end of stream. *)
+let connected ?netem att =
+  Clientos.reset_globals ();
+  Fdev.clear_drivers ();
+  let tb = Clientos.make_testbed () in
+  Option.iter (fun em -> Wire.set_netem tb.Clientos.wire (Some em)) netem;
+  let frames = tap tb.Clientos.wire in
+  let a = ip "10.0.0.1" and b = ip "10.0.0.2" in
+  let stack = stack_on att tb.Clientos.host_a a in
+  let peer = Clientos.freebsd_host tb.Clientos.host_b ~ip:b ~mask in
+  let received, eof = sink tb.Clientos.host_b peer ~port:7002 and sock = ref None in
   Clientos.spawn tb.Clientos.host_a ~name:"sender" (fun () ->
       Kclock.sleep_ns 2_000_000;
       let s = Bsd_socket.tcp_socket stack in
@@ -288,6 +299,42 @@ let test_card_refuses () =
       Nic.Split_headers, "headers split", 1; Nic.Bad_mss, "mss <= 0", 1 ];
   Alcotest.(check int) "all counted globally" 5 Cost.counters.Cost.offload_refused
 
+(* The card's receive verdict: yes for a whole, option-less,
+   unfragmented TCP packet whose sum verifies, padding or not; no verdict
+   for anything it cannot check whole or that fails the sum. *)
+let test_card_rx_verdict () =
+  (* [tcp_frame] with a full TCP checksum, as a sender leaves it. *)
+  let valid ?ihl ?proto payload =
+    let f = tcp_frame ?ihl ?proto ~flags:Tcp.th_ack payload in
+    let t = 14 + ((Bytes.get_uint8 f 14 land 0xf) * 4) in
+    let tlen = Bytes.length f - t in
+    Bytes.set_uint16_be f (t + 16) 0;
+    Bytes.set_uint16_be f (t + 16)
+      (In_cksum.cksum_bytes f ~off:t ~len:tlen
+         ~init:
+           (In_cksum.pseudo_header ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2")
+              ~proto:Ip.proto_tcp ~len:tlen));
+    f
+  in
+  let good = valid (pattern 1001) in
+  let with_byte f i v =
+    let f = Bytes.copy f in
+    Bytes.set_uint8 f i v;
+    f
+  in
+  let ack = valid "" in
+  List.iter
+    (fun (name, expect, f) -> Alcotest.(check bool) name expect (Nic.rx_csum_verified f))
+    [ "a good odd-length segment", true, good;
+      "a pure ACK padded to the minimum frame", true,
+      Bytes.cat ack (Bytes.make (60 - Bytes.length ack) '\000');
+      "one payload byte damaged", false,
+      with_byte good 100 (Bytes.get_uint8 good 100 lxor 0x40);
+      "an IP fragment (MF set)", false, with_byte good 20 0x20;
+      "IP options", false, valid ~ihl:6 (pattern 100);
+      "not TCP", false, valid ~proto:Ip.proto_udp (pattern 100);
+      "truncated below its IP length", false, Bytes.sub good 0 (Bytes.length good - 10) ]
+
 (* A TSO packet whose segments no longer fit the MTU reaches the IP
    fragmenter, which drops and counts it instead of fragmenting; netstat
    shows it with the card's counters. *)
@@ -344,6 +391,96 @@ let test_corruption_caught () =
         (p.peer.Bsd_socket.tcp.Tcp.stats.Tcp.rcvbadsum > 0);
       Alcotest.(check string) "stream survived byte-exact" data (Buffer.contents p.received))
 
+(* ---- receive checksum offload ---- *)
+
+type received = {
+  sender : Bsd_socket.stack;
+  receiver : Bsd_socket.stack;
+  got : string;
+}
+
+(* [data] from a native FreeBSD sender to a receiver on [att] that reads
+   to end of stream. *)
+let receive ?netem att data =
+  Clientos.reset_globals ();
+  Fdev.clear_drivers ();
+  let tb = Clientos.make_testbed () in
+  Option.iter (fun em -> Wire.set_netem tb.Clientos.wire (Some em)) netem;
+  let a = ip "10.0.0.1" and b = ip "10.0.0.2" in
+  let sender = Clientos.freebsd_host tb.Clientos.host_a ~ip:a ~mask in
+  let receiver = stack_on att tb.Clientos.host_b b in
+  let got, eof = sink tb.Clientos.host_b receiver ~port:7003 in
+  Clientos.spawn tb.Clientos.host_a ~name:"sender" (fun () ->
+      Kclock.sleep_ns 2_000_000;
+      let s = Bsd_socket.tcp_socket sender in
+      ok (Bsd_socket.so_connect s ~dst:b ~dport:7003);
+      ignore
+        (ok (Bsd_socket.so_send s ~buf:(Bytes.of_string data) ~pos:0 ~len:(String.length data)));
+      ignore (Bsd_socket.so_shutdown s));
+  Clientos.run tb ~until:(fun () -> !eof);
+  { sender; receiver; got = Buffer.contents got }
+
+let tcp_stats st = st.Bsd_socket.tcp.Tcp.stats
+
+(* Clean, offloaded both ways: the only bytes either stack sums are the
+   20-byte IP headers, one per packet sent and one per packet received;
+   the receiver summed no TCP segment, and every received segment, on
+   both stacks, carried the card's verdict. *)
+let test_rx_verified att () =
+  let data = pattern (64 * 1024) in
+  let r = Test_sg.with_sg_tx true (fun () -> receive att data) in
+  Alcotest.(check string) "byte-exact" data r.got;
+  let rx = tcp_stats r.receiver and tx = tcp_stats r.sender in
+  Alcotest.(check int) "the receiver summed no TCP segment in software" 0 rx.Tcp.rcvswcsum;
+  Alcotest.(check int) "nor did the sender" 0 tx.Tcp.rcvswcsum;
+  Alcotest.(check int) "every received segment verified by the card"
+    (rx.Tcp.rcvpack + tx.Tcp.rcvpack) Cost.counters.Cost.csum_rx_verified;
+  let ip_headers st = st.Bsd_socket.ip.Ip.opackets + st.Bsd_socket.ip.Ip.ipackets in
+  Alcotest.(check int) "only IP headers were summed"
+    (20 * (ip_headers r.receiver + ip_headers r.sender))
+    Cost.counters.Cost.checksummed_bytes;
+  let netstat = Bsd_socket.netstat r.receiver in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("netstat: " ^ line) true (Test_overload.contains netstat line))
+    [ Printf.sprintf "%d received segments verified by the card"
+        Cost.counters.Cost.csum_rx_verified;
+      "0 received segments summed in software" ]
+
+(* Frames netem damages get no verdict: the receiver sums them, drops
+   them as bad, and the stream still arrives byte-exact. *)
+let test_rx_corrupt_withheld att () =
+  let data = pattern (128 * 1024) in
+  let em =
+    Netem.create ~seed:11
+      ~policy:{ Netem.default_policy with corrupt = 0.05; corrupt_min_len = 1000 }
+      ()
+  in
+  let r = Test_sg.with_sg_tx true (fun () -> receive ~netem:em att data) in
+  let rx = tcp_stats r.receiver in
+  Alcotest.(check bool) "damaged segments failed the software sum" true (rx.Tcp.rcvbadsum > 0);
+  let tx = tcp_stats r.sender in
+  Alcotest.(check int) "each segment was verified by the card or summed in software"
+    (rx.Tcp.rcvpack + tx.Tcp.rcvpack)
+    (Cost.counters.Cost.csum_rx_verified + rx.Tcp.rcvswcsum + tx.Tcp.rcvswcsum);
+  Alcotest.(check bool) "the card verified the clean ones" true
+    (Cost.counters.Cost.csum_rx_verified > 0);
+  Alcotest.(check string) "byte-exact" data r.got
+
+(* sg off: no verdicts, every segment summed in software, and the summed
+   byte count is the one the stacks paid before receive offload existed
+   (136,928 bytes for this transfer, on either attachment). *)
+let test_rx_sg_off att () =
+  let data = pattern (64 * 1024) in
+  let r = Test_sg.with_sg_tx false (fun () -> receive att data) in
+  Alcotest.(check string) "byte-exact" data r.got;
+  let rx = tcp_stats r.receiver and tx = tcp_stats r.sender in
+  Alcotest.(check int) "nothing verified" 0 Cost.counters.Cost.csum_rx_verified;
+  Alcotest.(check int) "every segment summed in software" (rx.Tcp.rcvpack + tx.Tcp.rcvpack)
+    (rx.Tcp.rcvswcsum + tx.Tcp.rcvswcsum);
+  Alcotest.(check int) "checksummed bytes as before receive offload" 136_928
+    Cost.counters.Cost.checksummed_bytes
+
 let tso_byte_exact =
   QCheck.Test.make ~count:12
     ~name:"tso: byte-exact over write sizes x MSS x 0-3% loss, both attachments"
@@ -380,8 +517,21 @@ let suite =
       (test_burst Native);
     Alcotest.test_case "card: cuts a super-frame from an iovec" `Quick test_card_cuts;
     Alcotest.test_case "card: refuses malformed requests, counted" `Quick test_card_refuses;
+    Alcotest.test_case "card: receive checksum verdicts" `Quick test_card_rx_verdict;
     Alcotest.test_case "ip: a TSO packet at the fragmenter is dropped, counted" `Quick
       test_fragmenter_drops_tso;
     Alcotest.test_case "netem corruption on a TSO stream is caught" `Quick
       test_corruption_caught;
+    Alcotest.test_case "rx csum: the card verifies, no TCP byte summed (OSKit glue)" `Quick
+      (test_rx_verified Glue);
+    Alcotest.test_case "rx csum: the card verifies, no TCP byte summed (native)" `Quick
+      (test_rx_verified Native);
+    Alcotest.test_case "rx csum: corrupt frames get no verdict (OSKit glue)" `Quick
+      (test_rx_corrupt_withheld Glue);
+    Alcotest.test_case "rx csum: corrupt frames get no verdict (native)" `Quick
+      (test_rx_corrupt_withheld Native);
+    Alcotest.test_case "rx csum: sg off sums as before (OSKit glue)" `Quick
+      (test_rx_sg_off Glue);
+    Alcotest.test_case "rx csum: sg off sums as before (native)" `Quick
+      (test_rx_sg_off Native);
     QCheck_alcotest.to_alcotest tso_byte_exact ]
