@@ -47,8 +47,8 @@ let pattern ~file pos = ((pos * 131) + (file * 17)) land 0xff
 let file_name i = Printf.sprintf "f%d.bin" i
 
 type result = {
-  r_config : Rig.config;
-  r_mode : Rig.mode;
+  r_config : Testbed.config;
+  r_mode : Testbed.mode;
   r_knobs : knobs;
   r_clients : int;
   r_pipeline : int; (* client pipelining depth (1 = serial request/response) *)
@@ -74,19 +74,6 @@ type result = {
   r_xmits_per_resp : float;  (* the server card's transmit requests per response *)
 }
 
-(* Parse "Content-Length: N" out of a response header block. *)
-let content_length hdr =
-  match Rig.index_of (String.lowercase_ascii hdr) "content-length:" with
-  | None -> None
-  | Some i -> (
-      let rest = String.sub hdr (i + 15) (String.length hdr - i - 15) in
-      let line =
-        match String.index_opt rest '\r' with
-        | Some j -> String.sub rest 0 j
-        | None -> rest
-      in
-      int_of_string_opt (String.trim line))
-
 (* One run: [clients] FreeBSD-native clients each issue [reqs_per_client]
    GETs round-robin over the working set.  With keep-alive on, each
    client holds ONE connection for all its requests and frames responses
@@ -103,7 +90,7 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
       c.Cost.sendfile <- knobs.k_sendfile;
       c.Cost.sg_tx <- knobs.k_sg)
   @@ fun () ->
-  let tb = Rig.testbed () in
+  let tb = Testbed.fresh () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
   let bodies =
     Array.init files (fun fi -> String.init file_bytes (fun i -> Char.chr (pattern ~file:fi i)))
@@ -111,16 +98,16 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
   (* 16 MB: big enough for the 128-file thrash working set (ninodes scales
      with the device, nblocks/8, and 4 MB leaves only 125 usable inodes). *)
   let root =
-    Rig.make_root ~dev_bytes:(16 lsl 20)
+    Testbed.make_root ~dev_bytes:(16 lsl 20)
       (List.init files (fun fi -> file_name fi, bodies.(fi)))
   in
-  let sock, _ = Rig.server_sock config server in
-  let cstack = Clientos.freebsd_host chost ~ip:Rig.client_ip ~mask:Rig.mask in
+  let sock, _ = Testbed.server_sock config server in
+  let cstack = Clientos.freebsd_host chost ~ip:Testbed.client_ip ~mask:Testbed.mask in
   let done_clients = ref 0 in
   let all_done () = !done_clients >= clients in
   let reactor = Reactor.create () in
   let server_stats =
-    Rig.serve_httpd ~mode ~backlog ~reactor ~until:all_done server sock root
+    Testbed.serve_httpd ~mode ~backlog ~reactor ~until:all_done server sock root
   in
   let mismatches = ref 0 in
   let t_start = ref max_int and t_end = ref 0 in
@@ -132,11 +119,11 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
   let do_request_10 ~record fi =
     let t0 = Machine.now chost.Clientos.machine in
     let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:80 with
+    (match Bsd_socket.so_connect s ~dst:Testbed.server_ip ~dport:80 with
     | Error _ -> incr mismatches
     | Ok () ->
-        Rig.send_string s (request fi false);
-        if not (Rig.read_200 s ~expect:bodies.(fi)) then incr mismatches);
+        Testbed.send_string s (request fi false);
+        if not (Testbed.read_200 s ~expect:bodies.(fi)) then incr mismatches);
     ignore (Bsd_socket.so_close s);
     let t1 = Machine.now chost.Clientos.machine in
     if record then begin
@@ -149,51 +136,16 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
   let do_requests_11 ~record ~first_file n =
     let t0 = Machine.now chost.Clientos.machine in
     let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:80 with
+    (match Bsd_socket.so_connect s ~dst:Testbed.server_ip ~dport:80 with
     | Error _ -> mismatches := !mismatches + n
     | Ok () ->
-        let buf = Bytes.create 4096 in
-        let acc = Buffer.create (file_bytes + 256) in
-        let consumed = ref 0 in
-        let rec fill need =
-          if Buffer.length acc - !consumed >= need then true
-          else
-            match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-            | Ok 0 | Error _ -> false
-            | Ok got ->
-                Buffer.add_subbytes acc buf 0 got;
-                fill need
-        in
-        let avail () =
-          String.sub (Buffer.contents acc) !consumed (Buffer.length acc - !consumed)
-        in
-        let rec hdr_end () =
-          match Rig.index_of (avail ()) "\r\n\r\n" with
-          | Some i -> Some i
-          | None ->
-              if fill (Buffer.length acc - !consumed + 1) then hdr_end () else None
-        in
+        let next = Testbed.framer s in
         let read_resp fi =
-          match hdr_end () with
-          | None -> incr mismatches
-          | Some he -> (
-              let hdr = String.sub (avail ()) 0 he in
-              match content_length hdr with
-              | None -> incr mismatches
-              | Some len ->
-                  if fill (he + 4 + len) then begin
-                    let body = String.sub (avail ()) (he + 4) len in
-                    let status_ok =
-                      String.length hdr > 12 && String.sub hdr 9 3 = "200"
-                    in
-                    if not (status_ok && body = bodies.(fi)) then incr mismatches;
-                    consumed := !consumed + he + 4 + len;
-                    if Buffer.length acc - !consumed = 0 then begin
-                      Buffer.clear acc;
-                      consumed := 0
-                    end
-                  end
-                  else incr mismatches)
+          match next () with
+          | Some (hdr, body)
+            when String.length hdr > 12 && String.sub hdr 9 3 = "200" && body = bodies.(fi) ->
+              ()
+          | _ -> incr mismatches
         in
         let sent = ref 0 in
         while !sent < n do
@@ -204,7 +156,7 @@ let run ~config ~mode ~knobs ?(pipeline = 1) ~clients ~reqs_per_client ~files
           for k = 0 to burst - 1 do
             Buffer.add_string b (request ((first_file + !sent + k) mod files) true)
           done;
-          Rig.send_string s (Buffer.contents b);
+          Testbed.send_string s (Buffer.contents b);
           for k = 0 to burst - 1 do
             read_resp ((first_file + !sent + k) mod files)
           done;

@@ -37,8 +37,8 @@ let backlog = 128
 let spawn_cycles = 20_000
 
 type result = {
-  r_config : Rig.config;
-  r_mode : Rig.mode;
+  r_config : Testbed.config;
+  r_mode : Testbed.mode;
   r_clients : int;
   r_requests : int;
   r_duration_ms : float;
@@ -70,16 +70,16 @@ let think_ns = 5_000_000
    is near-simultaneous — the regime the reactor exists for. *)
 let run ?(reqs_per_client = 2) ~config ~mode ~clients () =
   Cost.with_config (fun c -> c.Cost.thread_spawn_cycles <- spawn_cycles) @@ fun () ->
-  let tb = Rig.testbed () in
+  let tb = Testbed.fresh () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root = Rig.make_root [ "index.html", body ] in
-  let sock, listen_overflow = Rig.server_sock config server in
-  let cstack = Clientos.freebsd_host chost ~ip:Rig.client_ip ~mask:Rig.mask in
+  let root = Testbed.make_root [ "index.html", body ] in
+  let sock, listen_overflow = Testbed.server_sock config server in
+  let cstack = Clientos.freebsd_host chost ~ip:Testbed.client_ip ~mask:Testbed.mask in
   let done_clients = ref 0 in
   let all_done () = !done_clients >= clients in
   let reactor = Reactor.create () in
   let server_stats =
-    Rig.serve_httpd ~max_conns ~max_threads ~mode ~backlog ~reactor ~until:all_done server
+    Testbed.serve_httpd ~max_conns ~max_threads ~mode ~backlog ~reactor ~until:all_done server
       sock root
   in
   let samples = ref [] in
@@ -88,14 +88,14 @@ let run ?(reqs_per_client = 2) ~config ~mode ~clients () =
   let do_request ~record () =
     let t0 = Machine.now chost.Clientos.machine in
     let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:80 with
+    (match Bsd_socket.so_connect s ~dst:Testbed.server_ip ~dport:80 with
     | Error _ -> incr mismatches
     | Ok () ->
         (* The slow-client dribble: request line now, terminator later. *)
-        Rig.send_string s "GET /index.html HTTP/1.0\r\n";
+        Testbed.send_string s "GET /index.html HTTP/1.0\r\n";
         Kclock.sleep_ns think_ns;
-        Rig.send_string s "\r\n";
-        if not (Rig.read_200 s ~expect:body) then incr mismatches);
+        Testbed.send_string s "\r\n";
+        if not (Testbed.read_200 s ~expect:body) then incr mismatches);
     ignore (Bsd_socket.so_close s);
     let t1 = Machine.now chost.Clientos.machine in
     if record then begin
@@ -125,7 +125,7 @@ let run ?(reqs_per_client = 2) ~config ~mode ~clients () =
   done;
   Clientos.run tb ~until:all_done;
   let st = server_stats () in
-  let pct = Rig.percentile !samples in
+  let pct = Testbed.percentile !samples in
   let duration = max 1 (!t_end - !t_start) in
   let total = clients * reqs_per_client in
   let rstats = Reactor.stats reactor in

@@ -59,7 +59,7 @@ let exact ok = if ok then "yes" else "NO"
    FreeBSD source transmits to [config].  The scatter-gather send is
    measured in a second pass, once the paper's table has printed. *)
 type t1_row = {
-  config : Netbench.config;
+  config : Testbed.config;
   send : Netbench.transfer_result;
   recv : Netbench.transfer_result;
   sg : Netbench.transfer_result Lazy.t;
@@ -74,7 +74,7 @@ let table1 () =
     Netbench.transfer ?sg ~sender ~receiver ~blocks ~blocksize ()
   in
   let sg f r = f (Lazy.force r.sg) in
-  let system = Row.str "system" ~t:("%-22s", "system") (fun r -> Netbench.config_name r.config)
+  let system = Row.str "system" ~t:("%-22s", "system") (fun r -> Testbed.config_name r.config)
   and send_mbit =
     Row.float "send_mbit" ~t:("%14.2f", "send (Mbit/s)") (fun r -> r.send.Netbench.mbit_sender)
   and recv_mbit =
@@ -97,10 +97,10 @@ let table1 () =
   let rows =
     Row.table paper
       (fun config ->
-        let send = transfer config Netbench.Freebsd in
-        let recv = transfer Netbench.Freebsd config in
-        { config; send; recv; sg = lazy (transfer ~sg:true config Netbench.Freebsd) })
-      [ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ]
+        let send = transfer config Testbed.Freebsd in
+        let recv = transfer Testbed.Freebsd config in
+        { config; send; recv; sg = lazy (transfer ~sg:true config Testbed.Freebsd) })
+      [ Testbed.Linux; Testbed.Freebsd; Testbed.Oskit ]
   in
   print_newline ();
   print_endline "paper's qualitative claims (Section 5):";
@@ -115,11 +115,11 @@ let table1 () =
   Row.header sg_table;
   List.iter (Row.print sg_table) rows;
   let at c = List.find (fun r -> r.config = c) rows in
-  let oskit = Lazy.force (at Netbench.Oskit).sg in
+  let oskit = Lazy.force (at Testbed.Oskit).sg in
   Printf.printf
     "\nOSKit --sg send is %.1f%% of native FreeBSD send (flatten copy eliminated:\n\
      %d sg xmits, %d linearized)\n"
-    (100.0 *. oskit.Netbench.mbit_sender /. (at Netbench.Freebsd).send.Netbench.mbit_sender)
+    (100.0 *. oskit.Netbench.mbit_sender /. (at Testbed.Freebsd).send.Netbench.mbit_sender)
     oskit.Netbench.sg_xmits oskit.Netbench.linearized_xmits;
   let send f r = f r.send in
   Row.write_json "BENCH_table1.json"
@@ -141,7 +141,7 @@ let table1 () =
      default. *)
   Row.check "table1: OSKit sg send crosses the glue no less often than the default send"
     (fun rows ->
-      let r = List.find (fun r -> r.config = Netbench.Oskit) rows in
+      let r = List.find (fun r -> r.config = Testbed.Oskit) rows in
       sg (fun t -> t.Netbench.crossings_per_kpkt) r < r.send.Netbench.crossings_per_kpkt)
     rows;
   (* The card cuts the FreeBSD stack's tcp_output bursts, on both
@@ -151,8 +151,8 @@ let table1 () =
     (List.for_all (fun r ->
          let w = sg (fun t -> t.Netbench.wire_per_xmit) r in
          match r.config with
-         | Netbench.Linux -> w = 1.0
-         | Netbench.Freebsd | Netbench.Oskit -> w > 1.0))
+         | Testbed.Linux -> w = 1.0
+         | Testbed.Freebsd | Testbed.Oskit -> w > 1.0))
     rows
 
 (* ---------------- Table 2 ---------------- *)
@@ -161,13 +161,13 @@ let table2 () =
   section_header "Table 2: TCP 1-byte round-trip time, rtcp (usec)";
   let fields =
     Row.
-      [ str "system" ~t:("%-22s", "system") (fun (c, _) -> Netbench.config_name c);
+      [ str "system" ~t:("%-22s", "system") (fun (c, _) -> Testbed.config_name c);
         float "rtt_us" ~t:("%12.1f", "RTT (usec)") snd ]
   in
   let rows =
     Row.table fields
       (fun config -> config, (Netbench.dist config ~trips:200).Netbench.rtt_mean_us)
-      [ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ]
+      [ Testbed.Linux; Testbed.Freebsd; Testbed.Oskit ]
   in
   print_newline ();
   print_endline "paper's qualitative claim: the OSKit imposes significant latency";
@@ -405,10 +405,10 @@ let glue () =
          Cost.reset_config ();
          Cost.config.Cost.glue_crossing_cycles <- cycles;
          let t =
-           Netbench.transfer ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd
+           Netbench.transfer ~sender:Testbed.Oskit ~receiver:Testbed.Freebsd
              ~blocks:(blocks / 2) ~blocksize ()
          in
-         cycles, t, (Netbench.dist Netbench.Oskit ~trips:100).Netbench.rtt_mean_us)
+         cycles, t, (Netbench.dist Testbed.Oskit ~trips:100).Netbench.rtt_mean_us)
        [ 0; 500; 1500; 3000; 6000 ]);
   Cost.reset_config ();
   print_endline "\n(cycles=0 isolates the copy cost; the remainder is \"the price we pay";
@@ -426,10 +426,10 @@ let copies () =
     (Row.table fields
        (fun (label, sender, receiver) ->
          label, Netbench.transfer ~sender ~receiver ~blocks:(blocks / 2) ~blocksize ())
-       [ "FreeBSD -> FreeBSD", Netbench.Freebsd, Netbench.Freebsd;
-         "OSKit -> FreeBSD (send path)", Netbench.Oskit, Netbench.Freebsd;
-         "FreeBSD -> OSKit (recv path)", Netbench.Freebsd, Netbench.Oskit;
-         "Linux -> Linux", Netbench.Linux, Netbench.Linux ]);
+       [ "FreeBSD -> FreeBSD", Testbed.Freebsd, Testbed.Freebsd;
+         "OSKit -> FreeBSD (send path)", Testbed.Oskit, Testbed.Freebsd;
+         "FreeBSD -> OSKit (recv path)", Testbed.Freebsd, Testbed.Oskit;
+         "Linux -> Linux", Testbed.Linux, Testbed.Linux ]);
   print_endline "\nthe send path shows the extra flattening copy; the receive path does not"
 
 (* ---------------- chaos: goodput under injected loss ---------------- *)
@@ -443,7 +443,7 @@ let chaos () =
     blocks blocksize;
   let fields =
     Row.
-      [ show "%-10s" "sender" (fun ((sender, _, _), _) -> Netbench.config_name sender);
+      [ show "%-10s" "sender" (fun ((sender, _, _), _) -> Testbed.config_name sender);
         show "%4s" "sg" (fun ((_, sg, _), _) -> Row.on_off sg);
         show "%6.1f%%" "loss" (fun ((_, _, loss), _) -> loss *. 100.0);
         show "%14.2f" "goodput (Mbit/s)" (fun (_, r) -> r.Netbench.goodput_mbit);
@@ -457,10 +457,10 @@ let chaos () =
          [ Row.each "chaos: transfer was not byte-exact" (fun (_, r) -> r.Netbench.byte_exact) ]
        (fun ((sender, sg), loss) ->
          ( (sender, sg, loss),
-           Netbench.chaos_transfer ~seed:42 ~loss ~sg ~sender ~receiver:Netbench.Freebsd
+           Netbench.chaos_transfer ~seed:42 ~loss ~sg ~sender ~receiver:Testbed.Freebsd
              ~blocks ~blocksize () ))
-       Row.(([ Netbench.Freebsd, false; Netbench.Oskit, false; Netbench.Linux, false;
-               Netbench.Freebsd, true; Netbench.Oskit, true ])
+       Row.(([ Testbed.Freebsd, false; Testbed.Oskit, false; Testbed.Linux, false;
+               Testbed.Freebsd, true; Testbed.Oskit, true ])
             *** [ 0.0; 0.005; 0.01; 0.02; 0.05 ]));
   print_newline ();
   print_endline "retransmissions recover every loss: goodput degrades, correctness doesn't"
@@ -470,10 +470,10 @@ let chaos () =
 let sgsmoke () =
   section_header "SG smoke: scatter-gather send path sanity (fails loudly on regression)";
   let dflt =
-    Netbench.transfer ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd ~blocks ~blocksize ()
+    Netbench.transfer ~sender:Testbed.Oskit ~receiver:Testbed.Freebsd ~blocks ~blocksize ()
   in
   let sg =
-    Netbench.transfer ~sg:true ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd ~blocks
+    Netbench.transfer ~sg:true ~sender:Testbed.Oskit ~receiver:Testbed.Freebsd ~blocks
       ~blocksize ()
   in
   Printf.printf "OSKit -> FreeBSD send: default %.2f Mbit/s, sg %.2f Mbit/s\n"
@@ -491,8 +491,8 @@ let sgsmoke () =
   List.iter
     (fun loss ->
       let r =
-        Netbench.chaos_transfer ~seed:42 ~loss ~sg:true ~sender:Netbench.Oskit
-          ~receiver:Netbench.Freebsd ~blocks ~blocksize ()
+        Netbench.chaos_transfer ~seed:42 ~loss ~sg:true ~sender:Testbed.Oskit
+          ~receiver:Testbed.Freebsd ~blocks ~blocksize ()
       in
       Printf.printf "%6.1f%% %16.2f %9d %11s\n%!" (loss *. 100.0) r.Netbench.goodput_mbit
         r.Netbench.chaos_rexmits
@@ -506,8 +506,8 @@ let sgsmoke () =
 
 let http_json, http_table =
   let open Httpbench in
-  let stack = Row.str "stack" ~t:("%-9s", "stack") (fun r -> Rig.config_name r.r_config)
-  and mode = Row.str "mode" ~t:("%-8s", "mode") (fun r -> Rig.mode_name r.r_mode)
+  let stack = Row.str "stack" ~t:("%-9s", "stack") (fun r -> Testbed.config_name r.r_config)
+  and mode = Row.str "mode" ~t:("%-8s", "mode") (fun r -> Testbed.mode_name r.r_mode)
   and clients = Row.int "clients" ~t:("%8d", "clients") (fun r -> r.r_clients)
   and rps = Row.float "rps" ~t:("%10.0f", "req/s") (fun r -> r.r_rps)
   and p50 = Row.float "p50_us" ~t:("%10.1f", "p50 (us)") (fun r -> r.r_p50_us)
@@ -537,7 +537,7 @@ let http_checks =
       Row.each "http: server saw protocol errors" (fun r -> r.r_protocol_errors = 0);
       Row.each "http: not every request got a 200" (fun r -> r.r_responses = r.r_requests) ]
 
-let http_configs = [ Rig.Freebsd_com; Rig.Linux_com ]
+let http_configs = [ Testbed.Freebsd; Testbed.Linux ]
 
 let http_at rows config clients mode =
   List.find
@@ -553,11 +553,11 @@ let http_gates =
     (fun config ->
       Httpbench.
         [ Row.check "http: reactor sustained < 4x the threaded concurrency" (fun rows ->
-              (http_at rows config 256 Rig.Reactor).r_peak_active
-              >= 4 * (http_at rows config 256 Rig.Threads).r_peak_active);
+              (http_at rows config 256 Testbed.Reactor).r_peak_active
+              >= 4 * (http_at rows config 256 Testbed.Threads).r_peak_active);
           Row.check "httpsmoke: reactor slower than thread-per-connection" (fun rows ->
-              (http_at rows config 64 Rig.Reactor).r_rps
-              >= (http_at rows config 64 Rig.Threads).r_rps) ])
+              (http_at rows config 64 Testbed.Reactor).r_rps
+              >= (http_at rows config 64 Testbed.Threads).r_rps) ])
     http_configs
 
 let http () =
@@ -570,17 +570,17 @@ let http () =
   let rows =
     Row.table ~checks:http_checks http_table
       (fun (config, (clients, mode)) -> Httpbench.run ~config ~mode ~clients ())
-      Row.(http_configs *** [ 1; 4; 16; 64; 256 ] *** [ Rig.Threads; Rig.Reactor ])
+      Row.(http_configs *** [ 1; 4; 16; 64; 256 ] *** [ Testbed.Threads; Testbed.Reactor ])
   in
   print_newline ();
   List.iter
     (fun config ->
-      let re = http_at rows config 256 Rig.Reactor
-      and th = http_at rows config 256 Rig.Threads in
+      let re = http_at rows config 256 Testbed.Reactor
+      and th = http_at rows config 256 Testbed.Threads in
       Printf.printf
         "%s @256 clients: reactor held %d concurrent connections vs %d threaded\n\
         \  (%.1fx at the same %dKB budget); reactor %.0f req/s vs threaded %.0f\n"
-        (Rig.config_name config) re.Httpbench.r_peak_active th.Httpbench.r_peak_active
+        (Testbed.config_name config) re.Httpbench.r_peak_active th.Httpbench.r_peak_active
         (float_of_int re.Httpbench.r_peak_active
         /. float_of_int (max 1 th.Httpbench.r_peak_active))
         (Httpbench.ram_budget / 1024) re.Httpbench.r_rps th.Httpbench.r_rps)
@@ -615,7 +615,7 @@ let rtt () =
   let trips = 200 in
   let fields =
     Row.
-      [ str "system" ~t:("%-10s", "system") (fun ((c, _), _) -> Netbench.config_name c);
+      [ str "system" ~t:("%-10s", "system") (fun ((c, _), _) -> Testbed.config_name c);
         str "fastpath" ~t:("%-9s", "fastpath") (fun ((_, on), _) -> on_off on);
         float "mean_us" ~t:("%10.1f", "mean (us)") (fun (_, r) -> r.Netbench.rtt_mean_us);
         float "p50_us" ~t:("%9.1f", "p50") (fun (_, r) -> r.Netbench.rtt_p50_us);
@@ -634,11 +634,11 @@ let rtt () =
   let rows =
     Row.table fields
       (fun (config, fastpath) -> (config, fastpath), Netbench.dist ~fastpath config ~trips)
-      Row.([ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ] *** [ false; true ])
+      Row.([ Testbed.Linux; Testbed.Freebsd; Testbed.Oskit ] *** [ false; true ])
   in
   let mean config fastpath = (List.assoc (config, fastpath) rows).Netbench.rtt_mean_us in
-  let gap_off = mean Netbench.Oskit false -. mean Netbench.Freebsd false in
-  let gap_on = mean Netbench.Oskit true -. mean Netbench.Freebsd false in
+  let gap_off = mean Testbed.Oskit false -. mean Testbed.Freebsd false in
+  let gap_on = mean Testbed.Oskit true -. mean Testbed.Freebsd false in
   Printf.printf
     "\nOSKit vs native FreeBSD, flags off: +%.1f us per round trip (Table 2's gap)\n\
      OSKit fast path vs the same baseline: +%.1f us (%.0f%% of the gap closed)\n"
@@ -648,7 +648,7 @@ let rtt () =
      OSKit configuration, where receive frames actually cross the glue. *)
   let http_run on =
     fast_flags on (fun () ->
-        Httpbench.run ~config:Rig.Oskit_com ~mode:Rig.Reactor ~clients:128 ())
+        Httpbench.run ~config:Testbed.Oskit ~mode:Testbed.Reactor ~clients:128 ())
   in
   let hoff = http_run false in
   let hon = http_run true in
@@ -685,21 +685,21 @@ let rttsmoke () =
     (fun (sender, loss) ->
       let r =
         fast_flags true (fun () ->
-            Netbench.chaos_transfer ~seed:42 ~loss ~sender ~receiver:Netbench.Freebsd
+            Netbench.chaos_transfer ~seed:42 ~loss ~sender ~receiver:Testbed.Freebsd
               ~blocks ~blocksize ())
       in
       Printf.printf "fastpath ttcp %-8s loss %4.1f%%: %8.2f Mbit/s, byte-exact %s\n%!"
-        (Netbench.config_name sender) (loss *. 100.0) r.Netbench.goodput_mbit
+        (Testbed.config_name sender) (loss *. 100.0) r.Netbench.goodput_mbit
         (exact r.Netbench.byte_exact);
       if not r.Netbench.byte_exact then
         failwith "rttsmoke: fast path broke byte-exactness")
-    [ Netbench.Oskit, 0.0; Netbench.Oskit, 0.01;
-      Netbench.Linux, 0.0; Netbench.Linux, 0.01 ];
+    [ Testbed.Oskit, 0.0; Testbed.Oskit, 0.01;
+      Testbed.Linux, 0.0; Testbed.Linux, 0.01 ];
   (* 2) the win, with the machinery provably engaged: strictly lower mean
      RTT; prediction hits and pcb-cache hits nonzero; zero fallbacks on a
      clean in-order run (every established-state segment must predict). *)
-  let dflt = Netbench.dist ~fastpath:false Netbench.Oskit ~trips:100 in
-  let fast = Netbench.dist ~fastpath:true Netbench.Oskit ~trips:100 in
+  let dflt = Netbench.dist ~fastpath:false Testbed.Oskit ~trips:100 in
+  let fast = Netbench.dist ~fastpath:true Testbed.Oskit ~trips:100 in
   Printf.printf
     "rtcp OSKit: mean %.1f us default, %.1f us fast\n\
     \  (prediction hits %d, fallbacks %d, pcb-cache hits %d / misses %d)\n%!"
@@ -733,7 +733,7 @@ let longfat_bytes ~rtt_ns ~loss =
   else max (1024 * 1024) (4 * bdp)
 
 type lf_row = {
-  lf_config : Netbench.config;
+  lf_config : Testbed.config;
   rtt_ms : float;
   loss : float;
   buffers : string;
@@ -743,7 +743,7 @@ type lf_row = {
 
 let longfat_fields =
   Row.
-    [ str "system" ~t:("%-8s", "stack") (fun r -> Netbench.config_name r.lf_config);
+    [ str "system" ~t:("%-8s", "stack") (fun r -> Testbed.config_name r.lf_config);
       float "rtt_ms" ~t:("%5.1fms", "rtt") (fun r -> r.rtt_ms);
       float "loss" (fun r -> r.loss);
       show "%5.1f%%" "loss" (fun r -> r.loss *. 100.0);
@@ -755,7 +755,7 @@ let longfat_fields =
       str "byte_exact" (fun r -> if r.lf.Netbench.lf_byte_exact then "yes" else "no");
       show "%11s" "byte-exact" (fun r -> exact r.lf.Netbench.lf_byte_exact) ]
 
-let longfat_configs = [ Netbench.Freebsd; Netbench.Linux ]
+let longfat_configs = [ Testbed.Freebsd; Testbed.Linux ]
 
 let longfat_at rows config rtt_ms loss buffers =
   (List.find
@@ -812,7 +812,7 @@ let longfat () =
       let dflt = mbit "default" and manual = mbit "manual-bdp" and auto = mbit "autotune" in
       Printf.printf
         "\n%s @50ms/0%%: default %.2f, manual-bdp %.2f (%.1fx), autotune %.2f (%.0f%% of manual)\n"
-        (Netbench.config_name config) dflt manual (manual /. dflt) auto
+        (Testbed.config_name config) dflt manual (manual /. dflt) auto
         (100.0 *. auto /. manual))
     longfat_configs;
   List.iter (fun gate -> gate rows) longfat_gates;
@@ -837,7 +837,7 @@ let longfatsmoke () =
       let auto = run Netbench.Lf_autotune in
       Printf.printf
         "%-8s 50ms 0%%: default %.2f, manual %.2f, autotune %.2f Mbit/s (buf %d)\n%!"
-        (Netbench.config_name config) dflt.Netbench.lf_mbit manual.Netbench.lf_mbit
+        (Testbed.config_name config) dflt.Netbench.lf_mbit manual.Netbench.lf_mbit
         auto.Netbench.lf_mbit auto.Netbench.lf_rcv_buf;
       if manual.Netbench.lf_mbit < 5.0 *. dflt.Netbench.lf_mbit then
         failwith "longfatsmoke: scaled windows under 5x the seed throughput";
@@ -1160,7 +1160,7 @@ let eventsmoke () =
     Cost.with_config
       (fun c -> c.Cost.timer_wheel <- true)
       (fun () ->
-        Httpbench.run ~config:Rig.Oskit_com ~mode:Rig.Reactor ~clients:64 ())
+        Httpbench.run ~config:Testbed.Oskit ~mode:Testbed.Reactor ~clients:64 ())
   in
   if r.Httpbench.r_mismatches <> 0 then
     failwith "eventsmoke: byte mismatch with kq+wheel on";
@@ -1176,8 +1176,8 @@ let eventsmoke () =
 
 let file_json, file_table =
   let open Filebench in
-  let stack = Row.str "stack" ~t:("%-8s", "stack") (fun r -> Rig.config_name r.r_config)
-  and mode = Row.str "mode" ~t:("%-8s", "mode") (fun r -> Rig.mode_name r.r_mode)
+  let stack = Row.str "stack" ~t:("%-8s", "stack") (fun r -> Testbed.config_name r.r_config)
+  and mode = Row.str "mode" ~t:("%-8s", "mode") (fun r -> Testbed.mode_name r.r_mode)
   and files = Row.int "files" ~t:("%6d", "files") (fun r -> r.r_files)
   and file_bytes = Row.int "file_bytes" ~t:("%7d", "fbytes") (fun r -> r.r_file_bytes)
   and requests = Row.int "requests" ~t:("%6d", "reqs") (fun r -> r.r_requests)
@@ -1243,7 +1243,7 @@ let file () =
   section_header
     "FILE: HTTP/1.1 keep-alive + sendfile content path (req/s, body copies/request)";
   Row.header file_table;
-  let cell ?(config = Rig.Freebsd_com) ?(mode = Rig.Reactor) ?(clients = 16) ?(reqs = 125)
+  let cell ?(config = Testbed.Freebsd) ?(mode = Testbed.Reactor) ?(clients = 16) ?(reqs = 125)
       ?(files = 16) ?(file_bytes = 4096) ?(pipeline = 1) knobs =
     Row.row ~checks:file_checks file_table
       (Filebench.run ~config ~mode ~knobs ~pipeline ~clients ~reqs_per_client:reqs ~files
@@ -1255,8 +1255,8 @@ let file () =
   let matrix =
     List.map
       (fun (config, (mode, knobs)) -> cell ~config ~mode knobs)
-      Row.([ Rig.Freebsd_com; Rig.Linux_com; Rig.Oskit_com ]
-           *** [ Rig.Reactor; Rig.Threads ]
+      Row.([ Testbed.Freebsd; Testbed.Linux; Testbed.Oskit ]
+           *** [ Testbed.Reactor; Testbed.Threads ]
            *** Filebench.[ http10; keepalive; ka_sendfile ])
   in
   (* Working set larger than the 64-block cache: eviction under load. *)
@@ -1311,7 +1311,7 @@ let file () =
   Row.each "file: warm sendfile run copied body bytes"
     (fun r ->
       r.Filebench.r_knobs <> Filebench.ka_sendfile
-      || r.Filebench.r_config = Rig.Linux_com
+      || r.Filebench.r_config = Testbed.Linux
       || r.Filebench.r_body_bytes_copied = 0)
     (matrix @ sweep @ scale);
   print_endline "\nLinux rows under ka+sendfile show the counted copy fallback: no sendv";
@@ -1332,7 +1332,7 @@ let file () =
 let filesmoke () =
   section_header "FILE smoke: keep-alive win, zero warm-cache copies, byte-exact";
   Row.header file_table;
-  let run ?(config = Rig.Freebsd_com) ?(mode = Rig.Reactor) knobs =
+  let run ?(config = Testbed.Freebsd) ?(mode = Testbed.Reactor) knobs =
     Row.row ~checks:file_checks file_table
       (Filebench.run ~config ~mode ~knobs ~clients:64 ~reqs_per_client:4 ~files:16
          ~file_bytes:4096 ())
@@ -1351,9 +1351,9 @@ let filesmoke () =
   if sf.Filebench.r_sendfile_bodies < sf.Filebench.r_requests then
     failwith "filesmoke: not every 200 went through the mapped path";
   (* 3) the threaded shape serves the same bytes. *)
-  ignore (run ~mode:Rig.Threads Filebench.ka_sendfile);
+  ignore (run ~mode:Testbed.Threads Filebench.ka_sendfile);
   (* 4) Linux: no sendv face, so the counted fallback must carry it. *)
-  let lx = run ~config:Rig.Linux_com Filebench.ka_sendfile in
+  let lx = run ~config:Testbed.Linux Filebench.ka_sendfile in
   if lx.Filebench.r_sendfile_fallbacks = 0 || lx.Filebench.r_body_bytes_copied = 0
   then failwith "filesmoke: Linux fallback not counted";
   print_endline

@@ -3,112 +3,7 @@
    configurations (they interoperate on the wire), runs a ttcp- or
    rtcp-style workload in virtual time, and reports the paper's numbers. *)
 
-type config = Oskit | Freebsd | Linux
-
-let config_name = function Oskit -> "OSKit" | Freebsd -> "FreeBSD" | Linux -> "Linux"
-
-(* A role-neutral socket bundle: blocking send/recv/close over whichever
-   stack the configuration dictates. *)
-type sock = {
-  send : bytes -> int -> int;
-  recv : bytes -> int -> int;
-  close : unit -> unit;
-}
-
-(* Host-side protocol counters the chaos bench reads after a run:
-   retransmissions prove the loss was real; checksum/dup drops prove the
-   receiver discarded what netem damaged or repeated. *)
-type stack_stats = {
-  rexmits : unit -> int;
-  tcp_badsum : unit -> int;
-  tcp_dups : unit -> int;
-}
-
-let bsd_stats (stack : Bsd_socket.stack) =
-  let s = stack.Bsd_socket.tcp.Tcp.stats in
-  { rexmits = (fun () -> s.Tcp.sndrexmitpack + s.Tcp.fastrexmit);
-    tcp_badsum = (fun () -> s.Tcp.rcvbadsum);
-    tcp_dups = (fun () -> s.Tcp.rcvdup) }
-
-let linux_stats (stack : Linux_inet.stack) =
-  { rexmits = (fun () -> stack.Linux_inet.rexmits);
-    tcp_badsum = (fun () -> stack.Linux_inet.tcpbadsum);
-    tcp_dups = (fun () -> stack.Linux_inet.rcvdup) }
-
-(* Prepare a host in [config]; returns (serve, connect, stats):
-   [serve ~port k] spawns a server thread that accepts one connection and
-   passes its socket to [k]; [connect ~port k] spawns a client thread that
-   connects and passes its socket to [k]. *)
-let setup config host ~addr =
-  match config with
-  | Oskit ->
-      let env, stack = Clientos.oskit_host host ~ip:addr ~mask:Rig.mask in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let fd = Rig.ok (Posix.socket env Io_if.Sock_stream) in
-            Rig.ok (Posix.bind env fd { Io_if.sin_addr = addr; sin_port = port });
-            Rig.ok (Posix.listen env fd ~backlog:2);
-            let conn, _ = Rig.ok (Posix.accept env fd) in
-            k
-              { send = (fun b len -> Rig.ok (Posix.send env conn b ~pos:0 ~len));
-                recv = (fun b len -> Rig.ok (Posix.recv env conn b ~pos:0 ~len));
-                close = (fun () -> ignore (Posix.close env conn)) })
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let fd = Rig.ok (Posix.socket env Io_if.Sock_stream) in
-            Rig.ok (Posix.connect env fd { Io_if.sin_addr = dst; sin_port = port });
-            k
-              { send = (fun b len -> Rig.ok (Posix.send env fd b ~pos:0 ~len));
-                recv = (fun b len -> Rig.ok (Posix.recv env fd b ~pos:0 ~len));
-                close = (fun () -> ignore (Posix.shutdown env fd)) })
-      in
-      serve, connect, bsd_stats stack
-  | Freebsd ->
-      let stack = Clientos.freebsd_host host ~ip:addr ~mask:Rig.mask in
-      let of_tsock s =
-        { send = (fun b len -> Rig.ok (Bsd_socket.so_send s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> Rig.ok (Bsd_socket.so_recv s ~buf:b ~pos:0 ~len));
-          close = (fun () -> ignore (Bsd_socket.so_close s)) }
-      in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let ls = Bsd_socket.tcp_socket stack in
-            Rig.ok (Bsd_socket.so_bind ls ~port);
-            Rig.ok (Bsd_socket.so_listen ls ~backlog:2);
-            k (of_tsock (Rig.ok (Bsd_socket.so_accept ls))))
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let s = Bsd_socket.tcp_socket stack in
-            Rig.ok (Bsd_socket.so_connect s ~dst ~dport:port);
-            k (of_tsock s))
-      in
-      serve, connect, bsd_stats stack
-  | Linux ->
-      let stack = Clientos.linux_host host ~ip:addr ~mask:Rig.mask in
-      let of_sock s =
-        { send = (fun b len -> Rig.ok (Linux_inet.send stack s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> Rig.ok (Linux_inet.recv stack s ~buf:b ~pos:0 ~len));
-          close = (fun () -> Linux_inet.close stack s) }
-      in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let ls = Linux_inet.socket stack in
-            Linux_inet.bind stack ls ~port;
-            Linux_inet.listen stack ls ~backlog:2;
-            k (of_sock (Rig.ok (Linux_inet.accept stack ls))))
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let s = Linux_inet.socket stack in
-            Rig.ok (Linux_inet.connect stack s ~dst ~dport:port);
-            k (of_sock s))
-      in
-      serve, connect, linux_stats stack
+open Testbed
 
 type transfer_result = {
   mbit_sender : float; (* bandwidth from the sender's clock, ttcp-style *)
@@ -127,10 +22,10 @@ type transfer_result = {
    the paper's measured configuration flattens chains there). *)
 let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
   Cost.with_config (fun c -> c.Cost.sg_tx <- sg) @@ fun () ->
-  let tb = Rig.testbed () in
+  let tb = fresh () in
   let total = blocks * blocksize in
-  let serve, _, _ = setup receiver tb.Clientos.host_b ~addr:Rig.server_ip in
-  let _, connect, _ = setup sender tb.Clientos.host_a ~addr:Rig.client_ip in
+  let serve, _, _ = setup receiver tb.Clientos.host_b ~addr:server_ip in
+  let _, connect, _ = setup sender tb.Clientos.host_a ~addr:client_ip in
   let send_ns = ref 0 and recv_done = ref 0 in
   serve ~port:5001 (fun s ->
       let buf = Bytes.create 16384 in
@@ -138,18 +33,18 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
         match s.recv buf 16384 with
         | 0 ->
             recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-            s.close ()
+            ignore (s.close ())
         | _ -> loop ()
       in
       loop ());
-  connect ~dst:Rig.server_ip ~port:5001 (fun s ->
+  connect ~dst:server_ip ~port:5001 (fun s ->
       let block = Bytes.make blocksize 'T' in
       let t0 = Machine.now tb.Clientos.host_a.Clientos.machine in
       for _ = 1 to blocks do
         if s.send block blocksize <> blocksize then failwith "short send"
       done;
       send_ns := Machine.now tb.Clientos.host_a.Clientos.machine - t0;
-      s.close ());
+      ignore (s.close ()));
   Cost.reset_counters ();
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
   let packets = Wire.frames_carried tb.Clientos.wire in
@@ -188,22 +83,22 @@ let dist ?(fastpath = false) config ~trips =
       c.Cost.tcp_fastpath <- fastpath;
       c.Cost.rx_batch <- (if fastpath then 8 else 1))
   @@ fun () ->
-  let tb = Rig.testbed () in
-  let serve, _, _ = setup config tb.Clientos.host_b ~addr:Rig.server_ip in
-  let _, connect, _ = setup config tb.Clientos.host_a ~addr:Rig.client_ip in
+  let tb = fresh () in
+  let serve, _, _ = setup config tb.Clientos.host_b ~addr:server_ip in
+  let _, connect, _ = setup config tb.Clientos.host_a ~addr:client_ip in
   let samples = Array.make (max 1 trips) 0 in
   let finished = ref false in
   serve ~port:5002 (fun s ->
       let buf = Bytes.create 1 in
       let rec loop () =
         match s.recv buf 1 with
-        | 0 -> s.close ()
+        | 0 -> ignore (s.close ())
         | _ ->
             ignore (s.send buf 1);
             loop ()
       in
       loop ());
-  connect ~dst:Rig.server_ip ~port:5002 (fun s ->
+  connect ~dst:server_ip ~port:5002 (fun s ->
       let one = Bytes.make 1 'R' in
       let buf = Bytes.create 1 in
       ignore (s.send one 1);
@@ -216,7 +111,7 @@ let dist ?(fastpath = false) config ~trips =
         samples.(i) <- Machine.now machine - t0
       done;
       finished := true;
-      s.close ());
+      ignore (s.close ()));
   Clientos.run tb ~until:(fun () -> !finished);
   let sorted = Array.copy samples in
   Array.sort compare sorted;
@@ -239,10 +134,10 @@ let dist ?(fastpath = false) config ~trips =
    OSKit configuration.  The VM program loops sys_recv (or sys_send); the
    other side is a native FreeBSD peer. *)
 let vm_throughput ~direction ~bytes =
-  let tb = Rig.testbed () in
+  let tb = fresh () in
   let vm_host = tb.Clientos.host_a and peer = tb.Clientos.host_b in
-  let env, _ = Clientos.oskit_host vm_host ~ip:Rig.client_ip ~mask:Rig.mask in
-  let stack = Clientos.freebsd_host peer ~ip:Rig.server_ip ~mask:Rig.mask in
+  let env, _ = Clientos.oskit_host vm_host ~ip:client_ip ~mask:mask in
+  let stack = Clientos.freebsd_host peer ~ip:server_ip ~mask:mask in
   let finished_ns = ref 0 in
   let chunk = 8192 in
   (* VM program: loop { n = sys(recv/send)(heap 8192, 8192); global1 += n;
@@ -263,16 +158,16 @@ let vm_throughput ~direction ~bytes =
   (* Peer: FreeBSD-native source or sink. *)
   Clientos.spawn peer ~name:"peer" (fun () ->
       let ls = Bsd_socket.tcp_socket stack in
-      Rig.ok (Bsd_socket.so_bind ls ~port:5003);
-      Rig.ok (Bsd_socket.so_listen ls ~backlog:1);
-      let conn = Rig.ok (Bsd_socket.so_accept ls) in
+      ok (Bsd_socket.so_bind ls ~port:5003);
+      ok (Bsd_socket.so_listen ls ~backlog:1);
+      let conn = ok (Bsd_socket.so_accept ls) in
       let buf = Bytes.make chunk 'V' in
       (match direction with
       | `Receive ->
           (* Peer sends [bytes] to the VM. *)
           let rec push sent =
             if sent < bytes then begin
-              let n = Rig.ok (Bsd_socket.so_send conn ~buf ~pos:0 ~len:(min chunk (bytes - sent))) in
+              let n = ok (Bsd_socket.so_send conn ~buf ~pos:0 ~len:(min chunk (bytes - sent))) in
               push (sent + n)
             end
           in
@@ -280,15 +175,15 @@ let vm_throughput ~direction ~bytes =
           ignore (Bsd_socket.so_close conn)
       | `Send ->
           let rec sink () =
-            match Rig.ok (Bsd_socket.so_recv conn ~buf ~pos:0 ~len:chunk) with
+            match ok (Bsd_socket.so_recv conn ~buf ~pos:0 ~len:chunk) with
             | 0 -> ()
             | _ -> sink ()
           in
           sink ()));
   Clientos.spawn vm_host ~name:"vm" (fun () ->
       Kclock.sleep_ns 2_000_000;
-      let fd = Rig.ok (Posix.socket env Io_if.Sock_stream) in
-      Rig.ok (Posix.connect env fd { Io_if.sin_addr = Rig.server_ip; sin_port = 5003 });
+      let fd = ok (Posix.socket env Io_if.Sock_stream) in
+      ok (Posix.connect env fd { Io_if.sin_addr = server_ip; sin_port = 5003 });
       let bindings =
         { Vm.putc = (fun _ -> ());
           send =
@@ -322,6 +217,39 @@ let vm_throughput ~direction ~bytes =
    the wrong position and is caught at the receiver. *)
 let pattern pos = (pos * 131) land 0xff
 
+(* Receive a [pattern] stream on [s] to EOF, counting every byte out of
+   place; [at_eof] runs just before the close. *)
+let sink s ~received ~mismatches ~at_eof =
+  let buf = Bytes.create 16384 in
+  let rec loop () =
+    match s.recv buf 16384 with
+    | 0 ->
+        at_eof ();
+        ignore (s.close ())
+    | n ->
+        for i = 0 to n - 1 do
+          if Char.code (Bytes.get buf i) <> pattern (!received + i) then incr mismatches
+        done;
+        received := !received + n;
+        loop ()
+  in
+  loop ()
+
+(* Send [bytes] of the [pattern] stream on [s] in [blocksize] writes. *)
+let source s ~blocksize ~bytes =
+  let block = Bytes.create blocksize in
+  let rec push sent =
+    if sent < bytes then begin
+      let n = min blocksize (bytes - sent) in
+      for i = 0 to n - 1 do
+        Bytes.set block i (Char.chr (pattern (sent + i)))
+      done;
+      if s.send block n <> n then failwith "short send";
+      push (sent + n)
+    end
+  in
+  push 0
+
 type chaos_result = {
   goodput_mbit : float;  (* end-to-end, from the receiver's clock *)
   chaos_rexmits : int;   (* sender-stack data retransmissions *)
@@ -336,42 +264,22 @@ let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
     ?(corrupt_min_len = 0) ?(duplicate = 0.0) ?(sg = false) ~sender ~receiver
     ~blocks ~blocksize () =
   Cost.with_config (fun c -> c.Cost.sg_tx <- sg) @@ fun () ->
-  let tb = Rig.testbed () in
-  let em =
+  let netem =
     Netem.create ~seed
       ~policy:{ Netem.default_policy with loss; corrupt; corrupt_min_len; duplicate }
       ()
   in
-  Wire.set_netem tb.Clientos.wire (Some em);
+  let tb = fresh ~netem () in
   let total = blocks * blocksize in
-  let serve, _, rstats = setup receiver tb.Clientos.host_b ~addr:Rig.server_ip in
-  let _, connect, sstats = setup sender tb.Clientos.host_a ~addr:Rig.client_ip in
+  let serve, _, rstats = setup receiver tb.Clientos.host_b ~addr:server_ip in
+  let _, connect, sstats = setup sender tb.Clientos.host_a ~addr:client_ip in
   let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
   serve ~port:5004 (fun s ->
-      let buf = Bytes.create 16384 in
-      let rec loop () =
-        match s.recv buf 16384 with
-        | 0 ->
-            recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-            s.close ()
-        | n ->
-            for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> pattern (!received + i) then
-                incr mismatches
-            done;
-            received := !received + n;
-            loop ()
-      in
-      loop ());
-  connect ~dst:Rig.server_ip ~port:5004 (fun s ->
-      let block = Bytes.create blocksize in
-      for b = 0 to blocks - 1 do
-        for i = 0 to blocksize - 1 do
-          Bytes.set block i (Char.chr (pattern ((b * blocksize) + i)))
-        done;
-        if s.send block blocksize <> blocksize then failwith "chaos: short send"
-      done;
-      s.close ());
+      sink s ~received ~mismatches ~at_eof:(fun () ->
+          recv_done := Machine.now tb.Clientos.host_b.Clientos.machine));
+  connect ~dst:server_ip ~port:5004 (fun s ->
+      source s ~blocksize ~bytes:total;
+      ignore (s.close ()));
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
   if !recv_done = 0 then failwith "chaos: transfer did not complete";
   { goodput_mbit = float_of_int total *. 8e3 /. float_of_int !recv_done;
@@ -380,7 +288,7 @@ let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
     wire_dropped = Wire.frames_dropped tb.Clientos.wire;
     byte_exact = (!mismatches = 0 && !received = total);
     rcv_badsum = rstats.tcp_badsum ();
-    rcv_dups = rstats.tcp_dups () }
+    rcv_dups = rstats.dups () }
 
 (* ---- long fat pipes: ttcp over a stretched wire ---- *)
 
@@ -399,8 +307,12 @@ type longfat_result = {
   lf_persist_probes : int;  (* Linux only; 0 elsewhere *)
 }
 
+(* A longfat run between two hosts in [config], Freebsd or Linux: the
+   OSKit configuration's POSIX sockets expose no buffer size to hand-size,
+   so it is rejected up front. *)
 let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
     () =
+  if config = Oskit then invalid_arg "Netbench.longfat_transfer: Freebsd or Linux only";
   Cost.with_config (fun c ->
       match bufmode with
       | Lf_default -> ()
@@ -409,11 +321,11 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
           c.Cost.tcp_wscale <- true;
           c.Cost.tcp_autotune <- true)
   @@ fun () ->
-  let tb = Rig.testbed ~latency_ns:(max 1_000 (rtt_ns / 2)) () in
-  if loss > 0.0 then begin
-    let em = Netem.create ~seed ~policy:{ Netem.default_policy with loss } () in
-    Wire.set_netem tb.Clientos.wire (Some em)
-  end;
+  let netem =
+    if loss > 0.0 then Some (Netem.create ~seed ~policy:{ Netem.default_policy with loss } ())
+    else None
+  in
+  let tb = fresh ~latency_ns:(max 1_000 (rtt_ns / 2)) ?netem () in
   (* BDP at the wire's 100 Mbps: bytes = rate/8 * rtt.  Manual mode sizes
      to 2x BDP (headroom for ACK clocking), floored at the seed default. *)
   let bdp = rtt_ns / 80 in
@@ -424,107 +336,17 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
   in
   let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
   let final_rcv_buf = ref 0 and persist_probes = ref 0 and rexmits = ref 0 in
-  let check buf n =
-    for i = 0 to n - 1 do
-      if Char.code (Bytes.get buf i) <> pattern (!received + i) then incr mismatches
-    done;
-    received := !received + n
-  in
-  let blocksize = 16384 in
-  (match config with
-  | Oskit | Freebsd ->
-      let stack_b = Clientos.freebsd_host tb.Clientos.host_b ~ip:Rig.server_ip ~mask:Rig.mask in
-      let stack_a = Clientos.freebsd_host tb.Clientos.host_a ~ip:Rig.client_ip ~mask:Rig.mask in
-      Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
-          let ls = Bsd_socket.tcp_socket stack_b in
-          Rig.ok (Bsd_socket.so_bind ls ~port:5005);
-          Rig.ok (Bsd_socket.so_listen ls ~backlog:2);
-          let c = Rig.ok (Bsd_socket.so_accept ls) in
-          (match manual with
-          | Some b ->
-              Tcp.set_buffer_sizes c.Bsd_socket.pcb
-                ~snd:c.Bsd_socket.pcb.Tcp.snd_buf.Sockbuf.sb_hiwat ~rcv:b
-          | None -> ());
-          let buf = Bytes.create blocksize in
-          let rec loop () =
-            match Rig.ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:blocksize) with
-            | 0 ->
-                final_rcv_buf := c.Bsd_socket.pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat;
-                recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-                ignore (Bsd_socket.so_close c)
-            | n ->
-                check buf n;
-                loop ()
-          in
-          loop ());
-      Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
-          Kclock.sleep_ns 2_000_000;
-          let s = Bsd_socket.tcp_socket stack_a in
-          (match manual with
-          | Some b ->
-              Tcp.set_buffer_sizes s.Bsd_socket.pcb ~snd:b
-                ~rcv:s.Bsd_socket.pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat
-          | None -> ());
-          Rig.ok (Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:5005);
-          let block = Bytes.create blocksize in
-          let rec push sent =
-            if sent < bytes then begin
-              let n = min blocksize (bytes - sent) in
-              for i = 0 to n - 1 do
-                Bytes.set block i (Char.chr (pattern (sent + i)))
-              done;
-              if Rig.ok (Bsd_socket.so_send s ~buf:block ~pos:0 ~len:n) <> n then
-                failwith "longfat: short send";
-              push (sent + n)
-            end
-          in
-          push 0;
-          rexmits :=
-            stack_a.Bsd_socket.tcp.Tcp.stats.Tcp.sndrexmitpack
-            + stack_a.Bsd_socket.tcp.Tcp.stats.Tcp.fastrexmit;
-          ignore (Bsd_socket.so_close s))
-  | Linux ->
-      let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:Rig.server_ip ~mask:Rig.mask in
-      let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:Rig.client_ip ~mask:Rig.mask in
-      Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
-          let ls = Linux_inet.socket stack_b in
-          Linux_inet.bind stack_b ls ~port:5005;
-          Linux_inet.listen stack_b ls ~backlog:2;
-          let c = Rig.ok (Linux_inet.accept stack_b ls) in
-          (match manual with Some b -> c.Linux_inet.rcv_buf_max <- b | None -> ());
-          let buf = Bytes.create blocksize in
-          let rec loop () =
-            match Rig.ok (Linux_inet.recv stack_b c ~buf ~pos:0 ~len:blocksize) with
-            | 0 ->
-                final_rcv_buf := c.Linux_inet.rcv_buf_max;
-                recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-                Linux_inet.close stack_b c
-            | n ->
-                check buf n;
-                loop ()
-          in
-          loop ());
-      Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
-          Kclock.sleep_ns 2_000_000;
-          let s = Linux_inet.socket stack_a in
-          Rig.ok (Linux_inet.connect stack_a s ~dst:Rig.server_ip ~dport:5005);
-          let block = Bytes.create blocksize in
-          let rec push sent =
-            if sent < bytes then begin
-              let n = min blocksize (bytes - sent) in
-              for i = 0 to n - 1 do
-                Bytes.set block i (Char.chr (pattern (sent + i)))
-              done;
-              if Rig.ok (Linux_inet.send stack_a s ~buf:block ~pos:0 ~len:n) <> n then
-                failwith "longfat: short send";
-              push (sent + n)
-            end
-          in
-          push 0;
-          rexmits := stack_a.Linux_inet.rexmits;
-          persist_probes :=
-            stack_a.Linux_inet.persist_probes + stack_b.Linux_inet.persist_probes;
-          Linux_inet.close stack_a s));
+  let serve, _, rstats = setup config tb.Clientos.host_b ~addr:server_ip in
+  let _, connect, sstats = setup config tb.Clientos.host_a ~addr:client_ip in
+  serve ?rcvbuf:manual ~port:5005 (fun s ->
+      sink s ~received ~mismatches ~at_eof:(fun () ->
+          final_rcv_buf := s.rcv_buf ();
+          recv_done := Machine.now tb.Clientos.host_b.Clientos.machine));
+  connect ?sndbuf:manual ~dst:server_ip ~port:5005 (fun s ->
+      source s ~blocksize:16384 ~bytes;
+      rexmits := sstats.rexmits ();
+      persist_probes := sstats.persist_probes () + rstats.persist_probes ();
+      ignore (s.close ()));
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
   if !recv_done = 0 then failwith "longfat: transfer did not complete";
   { lf_mbit = float_of_int bytes *. 8e3 /. float_of_int !recv_done;
@@ -539,49 +361,16 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
    persist timer talks during the stall.  Returns (persist probes sent,
    byte-exact). *)
 let zero_window_run ?(stall_ns = 3_000_000_000) ?(bytes = 256 * 1024) () =
-  let tb = Rig.testbed () in
-  let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:Rig.server_ip ~mask:Rig.mask in
-  let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:Rig.client_ip ~mask:Rig.mask in
+  let tb = fresh () in
+  let serve, _, _ = setup Linux tb.Clientos.host_b ~addr:server_ip in
+  let _, connect, sstats = setup Linux tb.Clientos.host_a ~addr:client_ip in
   let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
-  Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
-      let ls = Linux_inet.socket stack_b in
-      Linux_inet.bind stack_b ls ~port:5006;
-      Linux_inet.listen stack_b ls ~backlog:2;
-      let c = Rig.ok (Linux_inet.accept stack_b ls) in
+  serve ~port:5006 (fun s ->
       Kclock.sleep_ns stall_ns;
-      let buf = Bytes.create 16384 in
-      let rec loop () =
-        match Rig.ok (Linux_inet.recv stack_b c ~buf ~pos:0 ~len:16384) with
-        | 0 ->
-            recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-            Linux_inet.close stack_b c
-        | n ->
-            for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> pattern (!received + i) then
-                incr mismatches
-            done;
-            received := !received + n;
-            loop ()
-      in
-      loop ());
-  Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
-      Kclock.sleep_ns 2_000_000;
-      let s = Linux_inet.socket stack_a in
-      Rig.ok (Linux_inet.connect stack_a s ~dst:Rig.server_ip ~dport:5006);
-      let block = Bytes.create 16384 in
-      let rec push sent =
-        if sent < bytes then begin
-          let n = min 16384 (bytes - sent) in
-          for i = 0 to n - 1 do
-            Bytes.set block i (Char.chr (pattern (sent + i)))
-          done;
-          if Rig.ok (Linux_inet.send stack_a s ~buf:block ~pos:0 ~len:n) <> n then
-            failwith "zero_window: short send";
-          push (sent + n)
-        end
-      in
-      push 0;
-      Linux_inet.close stack_a s);
+      sink s ~received ~mismatches ~at_eof:(fun () ->
+          recv_done := Machine.now tb.Clientos.host_b.Clientos.machine));
+  connect ~dst:server_ip ~port:5006 (fun s ->
+      source s ~blocksize:16384 ~bytes;
+      ignore (s.close ()));
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  ( stack_a.Linux_inet.persist_probes,
-    !mismatches = 0 && !received = bytes )
+  (sstats.persist_probes (), !mismatches = 0 && !received = bytes)

@@ -63,7 +63,7 @@ type stack = {
 let stack server host ~ip =
   match server with
   | Sv_linux ->
-      let st = Clientos.linux_host host ~ip ~mask:Rig.mask in
+      let st = Clientos.linux_host host ~ip ~mask:Testbed.mask in
       let conn s =
         { send = (fun ~buf ~pos ~len -> Linux_inet.send st s ~buf ~pos ~len);
           recv = (fun ~buf ~pos ~len -> Linux_inet.recv st s ~buf ~pos ~len);
@@ -74,13 +74,13 @@ let stack server host ~ip =
             let ls = Linux_inet.socket st in
             Linux_inet.bind st ls ~port;
             Linux_inet.listen st ls ~backlog;
-            fun () -> conn (Rig.ok (Linux_inet.accept st ls)));
+            fun () -> conn (Testbed.ok (Linux_inet.accept st ls)));
         connect =
           (fun ~port ->
             let s = Linux_inet.socket st in
             Result.map
               (fun () -> conn s)
-              (Linux_inet.connect st s ~dst:Rig.server_ip ~dport:port));
+              (Linux_inet.connect st s ~dst:Testbed.server_ip ~dport:port));
         syncache =
           (fun () ->
             ( st.Linux_inet.syncache_added,
@@ -88,7 +88,7 @@ let stack server host ~ip =
               st.Linux_inet.listen_overflow ));
         nomem_drops = (fun () -> st.Linux_inet.nomem_drops) }
   | Sv_freebsd ->
-      let st = Clientos.freebsd_host host ~ip ~mask:Rig.mask in
+      let st = Clientos.freebsd_host host ~ip ~mask:Testbed.mask in
       let conn s =
         { send = (fun ~buf ~pos ~len -> Bsd_socket.so_send s ~buf ~pos ~len);
           recv = (fun ~buf ~pos ~len -> Bsd_socket.so_recv s ~buf ~pos ~len);
@@ -98,15 +98,15 @@ let stack server host ~ip =
       { listen =
           (fun ~port ~backlog ->
             let ls = Bsd_socket.tcp_socket st in
-            Rig.ok (Bsd_socket.so_bind ls ~port);
-            Rig.ok (Bsd_socket.so_listen ls ~backlog);
-            fun () -> conn (Rig.ok (Bsd_socket.so_accept ls)));
+            Testbed.ok (Bsd_socket.so_bind ls ~port);
+            Testbed.ok (Bsd_socket.so_listen ls ~backlog);
+            fun () -> conn (Testbed.ok (Bsd_socket.so_accept ls)));
         connect =
           (fun ~port ->
             let s = Bsd_socket.tcp_socket st in
             Result.map
               (fun () -> conn s)
-              (Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:port));
+              (Bsd_socket.so_connect s ~dst:Testbed.server_ip ~dport:port));
         syncache =
           (fun () ->
             ( stats.Tcp.syncache_added,
@@ -159,13 +159,13 @@ type flood_result = {
    stack's backlog is full of embryonic corpses) counts as unserved. *)
 let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
   with_knobs ~syn_defense:defense ~syncache_size:64 (fun () ->
-      let tb = Rig.testbed () in
+      let tb = Testbed.fresh () in
       let chost = tb.Clientos.host_a in
-      let cstack = Clientos.freebsd_host chost ~ip:Rig.client_ip ~mask:Rig.mask in
+      let cstack = Clientos.freebsd_host chost ~ip:Testbed.client_ip ~mask:Testbed.mask in
       let served = ref 0 and finished = ref 0 and bytes_got = ref 0 in
       let t_start = ref max_int and t_end = ref 0 in
       let block = Bytes.init 4096 (fun i -> Char.chr (pattern i)) in
-      let sb = stack server tb.Clientos.host_b ~ip:Rig.server_ip in
+      let sb = stack server tb.Clientos.host_b ~ip:Testbed.server_ip in
       Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
           let accept = sb.listen ~port:7900 ~backlog:4 in
           for _ = 1 to legit do
@@ -189,13 +189,13 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
          burst is not throttled by the bounded ARP waiter queue. *)
       Clientos.spawn chost ~name:"flood" (fun () ->
           Kclock.sleep_ns 1_000_000;
-          send_raw_tcp cstack ~src:(Rig.ip "10.0.0.99") ~sport:1999 ~dst:Rig.server_ip
+          send_raw_tcp cstack ~src:(Testbed.ip "10.0.0.99") ~sport:1999 ~dst:Testbed.server_ip
             ~dport:7900 ~seq:1 ~flags:Tcp.th_syn;
           Kclock.sleep_ns 500_000;
           for i = 0 to flood - 1 do
             send_raw_tcp cstack
-              ~src:(Rig.ip (Printf.sprintf "10.0.1.%d" (1 + (i mod 250))))
-              ~sport:(2000 + i) ~dst:Rig.server_ip ~dport:7900 ~seq:(7 * i)
+              ~src:(Testbed.ip (Printf.sprintf "10.0.1.%d" (1 + (i mod 250))))
+              ~sport:(2000 + i) ~dst:Testbed.server_ip ~dport:7900 ~seq:(7 * i)
               ~flags:Tcp.th_syn
           done);
       for i = 0 to legit - 1 do
@@ -204,7 +204,7 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
             let t0 = Machine.now chost.Clientos.machine in
             if t0 < !t_start then t_start := t0;
             let s = Bsd_socket.tcp_socket cstack in
-            (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:7900 with
+            (match Bsd_socket.so_connect s ~dst:Testbed.server_ip ~dport:7900 with
             | Error _ -> ()
             | Ok () ->
                 let buf = Bytes.create 4096 in
@@ -255,7 +255,7 @@ type alloc_result = {
 let alloc_run ~server ~prob ~seed ~bytes () =
   with_knobs ~alloc_fail_prob:prob ~alloc_fail_seed:seed ~alloc_fail_burst:2
     (fun () ->
-      let tb = Rig.testbed () in
+      let tb = Testbed.fresh () in
       let mism = ref 0 and received = ref 0 and done_flag = ref false in
       let t_start = ref 0 and t_end = ref 0 in
       let chost = tb.Clientos.host_a in
@@ -275,13 +275,13 @@ let alloc_run ~server ~prob ~seed ~bytes () =
           Bytes.set block i (Char.chr (pattern (sent + i)))
         done
       in
-      let sa = stack server chost ~ip:Rig.client_ip in
-      let sb = stack server tb.Clientos.host_b ~ip:Rig.server_ip in
+      let sa = stack server chost ~ip:Testbed.client_ip in
+      let sb = stack server tb.Clientos.host_b ~ip:Testbed.server_ip in
       Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
           let c = sb.listen ~port:7901 ~backlog:2 () in
           let buf = Bytes.create 4096 in
           let rec loop () =
-            match Rig.ok (c.recv ~buf ~pos:0 ~len:4096) with
+            match Testbed.ok (c.recv ~buf ~pos:0 ~len:4096) with
             | 0 -> c.close (); done_flag := true
             | n ->
                 for i = 0 to n - 1 do
@@ -343,27 +343,27 @@ type loris_result = {
    already been reclaimed. *)
 let loris_run ~guard ~loris ~legit () =
   with_knobs ~httpd_guard:guard ~httpd_header_deadline_ns:50_000_000 (fun () ->
-      let tb = Rig.testbed () in
+      let tb = Testbed.fresh () in
       let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
       let expect = String.init 1024 (fun i -> Char.chr (pattern i)) in
-      let root = Rig.make_root [ "index.html", expect ] in
-      let stack = Clientos.freebsd_host server ~ip:Rig.server_ip ~mask:Rig.mask in
+      let root = Testbed.make_root [ "index.html", expect ] in
+      let stack = Clientos.freebsd_host server ~ip:Testbed.server_ip ~mask:Testbed.mask in
       let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
-      let cstack = Clientos.freebsd_host chost ~ip:Rig.client_ip ~mask:Rig.mask in
+      let cstack = Clientos.freebsd_host chost ~ip:Testbed.client_ip ~mask:Testbed.mask in
       let served = ref 0 and legit_done = ref 0 in
       let all () = !legit_done >= legit in
       let server_stats =
-        Rig.serve_httpd ~mode:Rig.Reactor ~max_conns:loris ~backlog:32
+        Testbed.serve_httpd ~mode:Testbed.Reactor ~max_conns:loris ~backlog:32
           ~reactor:(Reactor.create ()) ~until:all server sock root
       in
       for i = 0 to loris - 1 do
         Clientos.spawn chost ~name:(Printf.sprintf "loris%d" i) (fun () ->
             Kclock.sleep_ns (3_000_000 + (i * 100_000));
             let s = Bsd_socket.tcp_socket cstack in
-            (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:80 with
+            (match Bsd_socket.so_connect s ~dst:Testbed.server_ip ~dport:80 with
             | Error _ -> ()
             | Ok () ->
-                Rig.send_string s "GET /index.html HTTP/1.0\r\nX-Slow: yes\r\n";
+                Testbed.send_string s "GET /index.html HTTP/1.0\r\nX-Slow: yes\r\n";
                 (* Hold the connection; never finish the headers. *)
                 let buf = Bytes.create 256 in
                 ignore (Bsd_socket.so_recv s ~buf ~pos:0 ~len:256));
@@ -373,11 +373,11 @@ let loris_run ~guard ~loris ~legit () =
         Clientos.spawn chost ~name:(Printf.sprintf "legit%d" i) (fun () ->
             Kclock.sleep_ns (100_000_000 + (i * 200_000));
             let s = Bsd_socket.tcp_socket cstack in
-            (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:80 with
+            (match Bsd_socket.so_connect s ~dst:Testbed.server_ip ~dport:80 with
             | Error _ -> ()
             | Ok () ->
-                Rig.send_string s "GET /index.html HTTP/1.0\r\n\r\n";
-                if Rig.read_200 s ~expect then incr served);
+                Testbed.send_string s "GET /index.html HTTP/1.0\r\n\r\n";
+                if Testbed.read_200 s ~expect then incr served);
             ignore (Bsd_socket.so_close s);
             incr legit_done)
       done;

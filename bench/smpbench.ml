@@ -51,13 +51,13 @@ let run ?(reqs_per_client = 2) ~ncpus ~clients () =
       c.Cost.tcp_fastpath <- true;
       c.Cost.netisr_qmax <- netisr_qmax)
   @@ fun () ->
-  let tb = Rig.testbed ~models:("3c905", "fxp-sim") ~bandwidth_bps:1_000_000_000 () in
+  let tb = Testbed.fresh ~models:("3c905", "fxp-sim") ~bandwidth_bps:1_000_000_000 () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
   (* Same position-dependent file as httpbench: delivery is provably exact. *)
-  let root = Rig.make_root [ "index.html", Httpbench.body ] in
-  let stack = Clientos.freebsd_host server ~ip:Rig.server_ip ~mask:Rig.mask in
+  let root = Testbed.make_root [ "index.html", Httpbench.body ] in
+  let stack = Clientos.freebsd_host server ~ip:Testbed.server_ip ~mask:Testbed.mask in
   let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
-  let cstack = Clientos.freebsd_host chost ~ip:Rig.client_ip ~mask:Rig.mask in
+  let cstack = Clientos.freebsd_host chost ~ip:Testbed.client_ip ~mask:Testbed.mask in
   let done_clients = ref 0 in
   let all_done () = !done_clients >= clients in
   let server_stats = ref None in
@@ -66,12 +66,12 @@ let run ?(reqs_per_client = 2) ~ncpus ~clients () =
      symmetric flow hash RX steering uses, so the reactor that parks the
      connection is the CPU its frames arrive on. *)
   let home (peer : Io_if.sockaddr) =
-    Rss.cpu_of_flow ~ncpus ~proto:6 ~addr_a:Rig.server_ip ~port_a:server_port
+    Rss.cpu_of_flow ~ncpus ~proto:6 ~addr_a:Testbed.server_ip ~port_a:server_port
       ~addr_b:peer.Io_if.sin_addr ~port_b:peer.Io_if.sin_port
   in
   Clientos.spawn server ~cpu:0 ~name:"httpd-accept" (fun () ->
-      Rig.ok (sock.Io_if.so_bind { Io_if.sin_addr = Rig.server_ip; sin_port = server_port });
-      Rig.ok (sock.Io_if.so_listen ~backlog);
+      Testbed.ok (sock.Io_if.so_bind { Io_if.sin_addr = Testbed.server_ip; sin_port = server_port });
+      Testbed.ok (sock.Io_if.so_listen ~backlog);
       server_stats :=
         Some (Httpd.serve_reactor_sharded ~reactors ~home ~root ~sock ());
       Reactor.run reactors.(0) ~until:all_done);
@@ -86,11 +86,11 @@ let run ?(reqs_per_client = 2) ~ncpus ~clients () =
   let do_request ~record () =
     let t0 = Machine.now chost.Clientos.machine in
     let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:Rig.server_ip ~dport:server_port with
+    (match Bsd_socket.so_connect s ~dst:Testbed.server_ip ~dport:server_port with
     | Error _ -> incr mismatches
     | Ok () ->
-        Rig.send_string s "GET /index.html HTTP/1.0\r\n\r\n";
-        if not (Rig.read_200 s ~expect:Httpbench.body) then incr mismatches);
+        Testbed.send_string s "GET /index.html HTTP/1.0\r\n\r\n";
+        if not (Testbed.read_200 s ~expect:Httpbench.body) then incr mismatches);
     ignore (Bsd_socket.so_close s);
     let t1 = Machine.now chost.Clientos.machine in
     if record then begin
@@ -120,7 +120,7 @@ let run ?(reqs_per_client = 2) ~ncpus ~clients () =
   done;
   Clientos.run tb ~until:all_done;
   let st = Option.get !server_stats in
-  let pct = Rig.percentile !samples in
+  let pct = Testbed.percentile !samples in
   let duration = max 1 (!t_end - !t_start) in
   let total = clients * reqs_per_client in
   (* Per-CPU share of the server's sharded segment input: how evenly RSS

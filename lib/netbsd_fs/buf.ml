@@ -47,6 +47,7 @@ type t = {
   mutable evictions : int; (* buffers pushed out under pressure *)
   mutable pins : int; (* sendfile pins taken (cumulative) *)
   mutable unpins : int; (* sendfile pins released (cumulative) *)
+  mutable bad_unpins : int; (* unpins of a buffer nobody held: double releases *)
   mutable mapped : int; (* misses served by adopting the device's page *)
   mutable map_refused : int; (* misses the face refused: copy path taken *)
 }
@@ -55,7 +56,7 @@ type t = {
 let create ?(max_bufs = 64) ~bsize dev =
   let map = Result.to_option (Com.query dev.Io_if.bio_unknown Io_if.blkmap_iid) in
   { dev; map; bsize; cache = Hashtbl.create 64; max_bufs; tick = 0; reads = 0; writes = 0;
-    hits = 0; misses = 0; evictions = 0; pins = 0; unpins = 0; mapped = 0; map_refused = 0 }
+    hits = 0; misses = 0; evictions = 0; pins = 0; unpins = 0; bad_unpins = 0; mapped = 0; map_refused = 0 }
 
 let device_read t blkno data =
   t.reads <- t.reads + 1;
@@ -168,8 +169,10 @@ let pin t b =
    without re-referencing. *)
 let pin_held t (_ : buf) = t.pins <- t.pins + 1
 
+(* Unpinning a buffer nobody holds is a double release: the count stays
+   clamped at 0, as in [brelse], and the fault is counted. *)
 let unpin t b =
-  if b.b_refs > 0 then b.b_refs <- b.b_refs - 1;
+  if b.b_refs > 0 then b.b_refs <- b.b_refs - 1 else t.bad_unpins <- t.bad_unpins + 1;
   t.unpins <- t.unpins + 1
 
 (* bdwrite: mark dirty, write later. *)
@@ -192,6 +195,7 @@ type cache_stats = {
   cs_evictions : int;
   cs_pins : int;
   cs_unpins : int;
+  cs_bad_unpins : int; (* unpins of an unreferenced buffer (double releases) *)
   cs_mapped : int; (* misses served by adopting the device's page *)
   cs_map_refused : int; (* misses the device's face refused (copy path) *)
   cs_cached : int; (* buffers currently resident *)
@@ -201,5 +205,6 @@ type cache_stats = {
 let cache_stats t =
   let pinned = Hashtbl.fold (fun _ b acc -> if b.b_refs > 0 then acc + 1 else acc) t.cache 0 in
   { cs_reads = t.reads; cs_writes = t.writes; cs_hits = t.hits; cs_misses = t.misses;
-    cs_evictions = t.evictions; cs_pins = t.pins; cs_unpins = t.unpins; cs_mapped = t.mapped;
+    cs_evictions = t.evictions; cs_pins = t.pins; cs_unpins = t.unpins;
+    cs_bad_unpins = t.bad_unpins; cs_mapped = t.mapped;
     cs_map_refused = t.map_refused; cs_cached = Hashtbl.length t.cache; cs_pinned = pinned }

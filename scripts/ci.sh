@@ -1,5 +1,7 @@
 #!/bin/sh
-# Tier-1 gate: full build, test suites, a few small smoke runs, and the
+# Tier-1 gate: two grep guards (no deleted knob is referenced again; no
+# test or bench fixture builds or tears down a testbed except through
+# lib/testbed), full build, test suites, a few small smoke runs, and the
 # nine committed BENCH_*.json regenerated bit-identically.
 #
 # Small runs (OSKIT_BENCH_BLOCKS=64; each fails loudly on regression):
@@ -82,6 +84,20 @@ if grep -rnE --include='*.ml' --include='*.mli' \
     'Cost\.config\.(pcb_hash|kq)\b|\.Cost\.(pcb_hash|kq)\b' lib bench test \
     | grep -vE '^lib/machine/cost\.mli?:'; then
   echo "ci.sh: a deleted knob (pcb_hash or kq) is referenced again, above" >&2
+  exit 1
+fi
+
+# Every test and bench fixture starts from Testbed.fresh and ends in
+# Testbed.teardown (lib/testbed), so a new per-run check goes in one
+# place.  No file under test/ or bench/ may call what those two wrap.  The
+# one exception is test_simcost's test_registry_reset, which tests
+# Clientos.reset_globals itself.
+if awk '/^let /{fn=$2}
+    /Clientos\.(make_testbed|reset_globals)|Fdev\.clear_drivers/ &&
+    !(FILENAME == "test/test_simcost.ml" && fn == "test_registry_reset") {
+      print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit !bad }' test/*.ml bench/*.ml; then
+  echo "ci.sh: a test or bench fixture bypasses Testbed.fresh/teardown, above" >&2
   exit 1
 fi
 

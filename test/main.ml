@@ -1,5 +1,10 @@
+(* Every test ends in the testbed's one teardown, pass or fail. *)
+let ends_torn_down (name, cases) =
+  let torn_down f x = Fun.protect ~finally:Testbed.teardown (fun () -> f x) in
+  name, List.map (fun (case, speed, f) -> case, speed, torn_down f) cases
+
 let () =
-  Alcotest.run "oskit"
+  Alcotest.run "oskit" @@ List.map ends_torn_down
     [ "com", Test_com.suite;
       "machine", Test_machine.suite;
       "kern", Test_kern.suite;

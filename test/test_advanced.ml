@@ -2,12 +2,7 @@
    the medium-grained component concurrency of Section 4.7.4, and extra
    property tests (GDB framing, page tables vs a model). *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
+open Testbed
 
 (* ---- hard links ---- *)
 
@@ -92,8 +87,7 @@ let test_simultaneous_open () =
    call), the network thread must be able to run. *)
 
 let test_medium_grained_concurrency () =
-  Fdev.clear_drivers ();
-  Linux_glue.reset ();
+  teardown ();
   let w = World.create () in
   let m = Machine.create ~name:"conc-pc" w in
   let sched = Thread.create_sched m in

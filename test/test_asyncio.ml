@@ -12,34 +12,9 @@
    - closing a listener fails parked accepters instead of leaking them;
    - basic Wouldblock behaviour of non-blocking accept/recv. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+open Testbed
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
-
-type kind = Fb | Lx
-
-let kind_name = function Fb -> "freebsd" | Lx -> "linux"
-
-(* A COM listen socket (plus the stack's listen_overflow reader) on [host]
-   for either stack — the same object the HTTP server component binds to. *)
-let com_server kind host =
-  match kind with
-  | Fb ->
-      let stack = Clientos.freebsd_host host ~ip:(ip "10.0.0.2") ~mask in
-      ( Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack),
-        fun () -> stack.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow )
-  | Lx ->
-      let stack = Clientos.linux_host host ~ip:(ip "10.0.0.2") ~mask in
-      ( Linux_sock_com.socket_com stack (Linux_inet.socket stack),
-        fun () -> stack.Linux_inet.listen_overflow )
-
-let fresh_testbed () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  Clientos.make_testbed ~models:("3c905", "tulip") ()
+let kind_name k = String.lowercase_ascii (config_name k)
 
 let pattern pos = Char.chr ((pos * 131) land 0xff)
 
@@ -53,8 +28,8 @@ let aio_of (sock : Io_if.socket) =
    sink on [kind]; the sink reads either with a blocking thread or with
    reactor-driven non-blocking recv.  Returns what the sink received. *)
 let transfer kind ~via_reactor ~len =
-  let tb = fresh_testbed () in
-  let sock, _ = com_server kind tb.Clientos.host_b in
+  let tb = fresh () in
+  let sock, _ = server_sock kind tb.Clientos.host_b in
   let acc = Buffer.create len in
   let finished = ref false in
   Clientos.spawn tb.Clientos.host_b ~name:"sink" (fun () ->
@@ -144,7 +119,7 @@ let test_equivalence () =
       Alcotest.(check bool)
         (kind_name kind ^ ": reactor stream identical to blocking stream")
         true (reactor = blocking))
-    [ Fb; Lx ]
+    [ Freebsd; Linux ]
 
 (* ------------------------------------------------------------------ *)
 (* Spurious wakeups and listener add/remove during a poll pass, driven
@@ -180,7 +155,7 @@ let synthetic () =
     clear = (fun () -> ready := 0) }
 
 let test_spurious_and_churn () =
-  let tb = fresh_testbed () in
+  let tb = fresh () in
   let a = synthetic () and b = synthetic () in
   let r = Reactor.create () in
   let hits_a = ref 0 and hits_b = ref 0 and stopped_hits = ref 0 in
@@ -240,10 +215,9 @@ let test_spurious_and_churn () =
 let test_accept_under_loss () =
   List.iter
     (fun (kind, loss, seed) ->
-      let tb = fresh_testbed () in
-      let em = Netem.create ~seed ~policy:{ Netem.default_policy with loss } () in
-      Wire.set_netem tb.Clientos.wire (Some em);
-      let sock, _ = com_server kind tb.Clientos.host_b in
+      let netem = Netem.create ~seed ~policy:{ Netem.default_policy with loss } () in
+      let tb = fresh ~netem () in
+      let sock, _ = server_sock kind tb.Clientos.host_b in
       let served = ref 0 in
       let clients = 6 in
       Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
@@ -305,7 +279,7 @@ let test_accept_under_loss () =
            (loss *. 100.))
         clients !served;
       Alcotest.(check int) "every echo byte-exact" clients !exact)
-    [ (Fb, 0.0, 5); (Fb, 0.01, 6); (Fb, 0.03, 7); (Lx, 0.03, 8) ]
+    [ (Freebsd, 0.0, 5); (Freebsd, 0.01, 6); (Freebsd, 0.03, 7); (Linux, 0.03, 8) ]
 
 (* ------------------------------------------------------------------ *)
 (* Listen-queue overflow surfaces in the stack counter on both stacks. *)
@@ -313,8 +287,8 @@ let test_accept_under_loss () =
 let test_listen_overflow () =
   List.iter
     (fun kind ->
-      let tb = fresh_testbed () in
-      let sock, overflow = com_server kind tb.Clientos.host_b in
+      let tb = fresh () in
+      let sock, overflow = server_sock kind tb.Clientos.host_b in
       let served = ref 0 in
       let clients = 8 in
       Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
@@ -361,7 +335,7 @@ let test_listen_overflow () =
       Alcotest.(check int)
         (kind_name kind ^ ": every client still connected after retransmit")
         (clients + 1) !connected)
-    [ Fb; Lx ]
+    [ Freebsd; Linux ]
 
 (* ------------------------------------------------------------------ *)
 (* Closing a listening socket fails parked accepters (no leaked waiter,
@@ -370,8 +344,8 @@ let test_listen_overflow () =
 let test_close_wakes_accepters () =
   List.iter
     (fun kind ->
-      let tb = fresh_testbed () in
-      let sock, _ = com_server kind tb.Clientos.host_b in
+      let tb = fresh () in
+      let sock, _ = server_sock kind tb.Clientos.host_b in
       let outcome = ref `Pending in
       Clientos.spawn tb.Clientos.host_b ~name:"accepter" (fun () ->
           ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 7004 });
@@ -387,7 +361,7 @@ let test_close_wakes_accepters () =
         (kind_name kind ^ ": parked accepter failed with an error, promptly")
         true
         (!outcome = `Failed && World.now tb.Clientos.world < 1_000_000_000))
-    [ Fb; Lx ]
+    [ Freebsd; Linux ]
 
 (* ------------------------------------------------------------------ *)
 (* Non-blocking basics: Wouldblock instead of parking.                 *)
@@ -395,8 +369,8 @@ let test_close_wakes_accepters () =
 let test_nonblock_basics () =
   List.iter
     (fun kind ->
-      let tb = fresh_testbed () in
-      let sock, _ = com_server kind tb.Clientos.host_b in
+      let tb = fresh () in
+      let sock, _ = server_sock kind tb.Clientos.host_b in
       let checked = ref false in
       Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
           ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 7005 });
@@ -437,7 +411,7 @@ let test_nonblock_basics () =
           ignore (Bsd_socket.so_close s));
       Clientos.run tb ~until:(fun () -> !checked);
       Alcotest.(check bool) (kind_name kind ^ ": nonblock paths checked") true !checked)
-    [ Fb; Lx ]
+    [ Freebsd; Linux ]
 
 let suite =
   [ Alcotest.test_case "readiness-vs-blocking equivalence (both stacks)" `Quick

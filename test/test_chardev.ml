@@ -2,14 +2,11 @@
    with the Linux driver set in one probe — Section 3.6's "the FreeBSD
    drivers work alongside the Linux drivers without a problem". *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
+open Testbed
 
 let make_machine_with_tty () =
-  Fdev.clear_drivers ();
+  teardown ();
   Freebsd_dev_glue.reset ();
-  Linux_glue.reset ();
   let w = World.create () in
   let m = Machine.create ~name:(Printf.sprintf "tty-pc-%d" (Random.int 1_000_000)) w in
   let sched = Thread.create_sched m in
@@ -68,9 +65,8 @@ let test_posix_console_fd () =
 let test_mixed_donor_probe () =
   (* One machine with a Linux NIC, a Linux IDE disk, and a FreeBSD tty:
      all three driver sets probe side by side. *)
-  Fdev.clear_drivers ();
+  teardown ();
   Freebsd_dev_glue.reset ();
-  Linux_glue.reset ();
   let w = World.create () in
   let m = Machine.create ~name:"mixed-pc" w in
   Bus.clear m;
@@ -91,8 +87,7 @@ let test_mixed_donor_probe () =
   Alcotest.(check int) "three devices from two donor OSes" 3 found;
   Alcotest.(check int) "etherdev (linux)" 1 (List.length (Fdev.lookup osenv Io_if.etherdev_iid));
   Alcotest.(check int) "blkio (linux)" 1 (List.length (Fdev.lookup osenv Io_if.blkio_iid));
-  Alcotest.(check int) "chario (freebsd)" 1 (List.length (Fdev.lookup osenv Io_if.chario_iid));
-  Fdev.clear_drivers ()
+  Alcotest.(check int) "chario (freebsd)" 1 (List.length (Fdev.lookup osenv Io_if.chario_iid))
 
 let test_input_overflow_counted () =
   let w, m, _sched, serial = make_machine_with_tty () in

@@ -4,7 +4,7 @@
    the World.cancel regression, and the flags-off discipline (tick
    timers never touch the wheel counters). *)
 
-let ok = function Ok v -> v | Result.Error _ -> Alcotest.fail "unexpected COM error"
+open Testbed
 
 (* ---- World.cancel: a cancelled event unlinks immediately ---- *)
 

@@ -11,11 +11,7 @@
    that must fall back to the full input path; and the hashed demux must
    find exactly the pcb a linear scan of the live set would. *)
 
-let ip = Oskit.ip_of_string
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail ("fastpath: " ^ Error.to_string e)
+open Testbed
 
 (* Flip both fast-path flags around [f], restoring the previous values on
    any exit. *)
@@ -49,8 +45,8 @@ let equivalence sender label =
           in
           exact))
 
-let equivalence_oskit = equivalence Test_netem.Oskit "oskit"
-let equivalence_linux = equivalence Test_netem.Linux "linux"
+let equivalence_oskit = equivalence Oskit "oskit"
+let equivalence_linux = equivalence Linux "linux"
 
 (* Clean in-order transfer with the flags on: byte-exact, the predictor
    actually fires, and nothing falls back (the CI rttsmoke gate's
@@ -58,7 +54,7 @@ let equivalence_linux = equivalence Test_netem.Linux "linux"
 let test_clean_transfer_predicts () =
   with_fast (fun () ->
       let exact, _, _, _ =
-        Test_netem.run_transfer ~sender:Test_netem.Oskit ~blocks:32 ~blocksize:4096 ()
+        Test_netem.run_transfer ~sender:Oskit ~blocks:32 ~blocksize:4096 ()
       in
       Alcotest.(check bool) "byte-exact" true exact;
       Alcotest.(check bool) "prediction fired" true (Cost.counters.Cost.fastpath_hits > 0);
@@ -72,29 +68,11 @@ let test_clean_transfer_predicts () =
    purged — a stale cache would deliver a new connection's segments to
    a dead pcb. *)
 
-let mask = ip "255.255.255.0"
-
-let make_bsd_pair () =
-  let w = World.create () in
-  let wire = Wire.create w in
-  let mk name mac ipaddr =
-    let machine = Machine.create ~name w in
-    let _kern = Kernel.create machine in
-    let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
-    let stack = Bsd_socket.create_stack machine ~hwaddr:(Nic.mac nic) ~name in
-    Native_if.attach stack nic;
-    Bsd_socket.ifconfig stack ~addr:(ip ipaddr) ~mask;
-    machine, stack
-  in
-  let ma, sa = mk "fp-a" "\x02\x00\x00\x00\x00\xaa" "10.2.0.1" in
-  let mb, sb = mk "fp-b" "\x02\x00\x00\x00\x00\xbb" "10.2.0.2" in
-  w, ma, sa, mb, sb
-
 let test_bsd_cache_invalidated_on_close () =
   with_fast (fun () ->
       Cost.reset_counters ();
       Mbuf.pool_reset ();
-      let w, ma, sa, mb, sb = make_bsd_pair () in
+      let { world = w; ma; sa; mb; sb; _ } = bsd_pair ~name:"fp" ~net:"10.2.0" () in
       let ka = Thread.create_sched ma and kb = Thread.create_sched mb in
       Thread.install ka;
       Thread.install kb;
@@ -136,9 +114,7 @@ let test_bsd_cache_invalidated_on_close () =
 
 let test_linux_cache_invalidated_on_close () =
   with_fast (fun () ->
-      Clientos.reset_globals ();
-      Fdev.clear_drivers ();
-      let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+      let tb = fresh () in
       let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
       let echoed = ref "" in
@@ -181,7 +157,7 @@ let test_udp_hash_demux_and_unreachable () =
   with_fast (fun () ->
       Cost.reset_counters ();
       Mbuf.pool_reset ();
-      let w, ma, sa, _mb, sb = make_bsd_pair () in
+      let { world = w; ma; sa; sb; _ } = bsd_pair ~name:"fp" ~net:"10.2.0" () in
       let pcb = Udp.create_pcb sb.Bsd_socket.udp in
       ok (Udp.bind sb.Bsd_socket.udp pcb ~port:7);
       Machine.run_in ma (fun () ->
@@ -381,9 +357,7 @@ let take pool i =
       Some x
 
 let run_tcp_ops ~host ~demux api ops =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+  let tb = fresh () in
   let a_ip = ip "10.0.0.1" and b_ip = ip "10.0.0.2" in
   let sa = host tb.Clientos.host_a ~ip:a_ip ~mask in
   let sb = host tb.Clientos.host_b ~ip:b_ip ~mask in
@@ -523,7 +497,7 @@ let udp_demux (t : Udp.t) =
 let prop_udp_demux =
   QCheck.Test.make ~count:100 ~name:"udp: hashed demux = linear scan" udp_ops (fun ops ->
       Mbuf.pool_reset ();
-      let _w, _ma, _sa, _mb, sb = make_bsd_pair () in
+      let { sb; _ } = bsd_pair ~name:"fp" ~net:"10.2.0" () in
       let u = sb.Bsd_socket.udp and peer = ip "10.2.0.1" in
       let pcbs = ref [] and seen = Hashtbl.create 16 in
       let nth i = match !pcbs with [] -> None | l -> Some (List.nth l (i mod List.length l)) in

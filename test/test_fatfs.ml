@@ -2,9 +2,7 @@
    interchangeability with the NetBSD component behind the POSIX layer,
    and two file systems from two donors on one partitioned disk. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "fat error: %s" (Error.to_string e)
+open Testbed
 
 let with_fat f =
   let dev = Mem_blkio.make ~bytes:(1 * 1024 * 1024) () in

@@ -2,9 +2,7 @@
    through the COM interfaces and the POSIX layer, crash-free remount, a
    qcheck model test, and fsread/diskpart interop. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "fs error: %s" (Error.to_string e)
+open Testbed
 
 let mem_dev ?(mb = 4) () = Mem_blkio.make ~bytes:(mb * 1024 * 1024) ()
 

@@ -7,38 +7,20 @@
    of sendfile responses with every pin returned, buffer-cache pin and
    eviction hardening, and the flags-off world untouched. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+open Testbed
 
 (* ---- knob scoping: set the PR-10 knobs for [f], restore after ---- *)
 
 let with_http11 ?(keepalive = true) ?(sendfile = false) ?(sg = false)
     ?(idle_ns = 5_000_000_000) ?(max_reqs = 0) ?(pipeline_max = 8) f =
-  let c = Cost.config in
-  let saved =
-    ( c.Cost.http_keepalive, c.Cost.sendfile, c.Cost.sg_tx,
-      c.Cost.http_idle_timeout_ns, c.Cost.http_max_reqs_per_conn,
-      c.Cost.http_pipeline_max )
-  in
-  c.Cost.http_keepalive <- keepalive;
-  c.Cost.sendfile <- sendfile;
-  c.Cost.sg_tx <- sg;
-  c.Cost.http_idle_timeout_ns <- idle_ns;
-  c.Cost.http_max_reqs_per_conn <- max_reqs;
-  c.Cost.http_pipeline_max <- pipeline_max;
-  Fun.protect
-    ~finally:(fun () ->
-      let ka, sf, sgx, idle, mr, pm = saved in
-      c.Cost.http_keepalive <- ka;
-      c.Cost.sendfile <- sf;
-      c.Cost.sg_tx <- sgx;
-      c.Cost.http_idle_timeout_ns <- idle;
-      c.Cost.http_max_reqs_per_conn <- mr;
-      c.Cost.http_pipeline_max <- pm)
+  Cost.with_config
+    (fun c ->
+      c.Cost.http_keepalive <- keepalive;
+      c.Cost.sendfile <- sendfile;
+      c.Cost.sg_tx <- sg;
+      c.Cost.http_idle_timeout_ns <- idle_ns;
+      c.Cost.http_max_reqs_per_conn <- max_reqs;
+      c.Cost.http_pipeline_max <- pipeline_max)
     f
 
 (* ---- a server rig: FFS root with one pattern file per size ---- *)
@@ -47,151 +29,38 @@ let pattern ~file pos = ((pos * 131) + (file * 17)) land 0xff
 let file_name i = Printf.sprintf "f%d.bin" i
 
 let make_root sizes =
-  let dev = Mem_blkio.make ~bytes:(4 * 1024 * 1024) () in
-  let fs, root = ok (Fs_glue.newfs_fs dev) in
   let bodies =
-    List.mapi
-      (fun fi size ->
-        let f = ok (root.Io_if.d_create (file_name fi)) in
-        let body = Bytes.init size (fun i -> Char.chr (pattern ~file:fi i)) in
-        let rec push off =
-          if off < size then
-            match f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(size - off) with
-            | Ok n -> push (off + n)
-            | Error e -> Alcotest.failf "root write: %s" (Error.to_string e)
-        in
-        push 0;
-        Bytes.to_string body)
-      sizes
+    List.mapi (fun fi size -> String.init size (fun i -> Char.chr (pattern ~file:fi i))) sizes
+  in
+  let fs, root =
+    make_fs ~dev_bytes:(4 * 1024 * 1024) (List.mapi (fun fi b -> file_name fi, b) bodies)
   in
   (fs, root, Array.of_list bodies)
 
 (* Serve [sizes] from host_b in [mode]; [f] drives clients on host_a and
    must eventually make [until] true.  [wrap] re-exports the listening
    socket; [on_fs] sees the served file system before any request. *)
-let rig ?loss ?(mode = `Reactor) ?(wrap = Fun.id) ?(on_fs = ignore) ~sizes ~until f =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  (match loss with
-  | Some l ->
-      Wire.set_netem tb.Clientos.wire
-        (Some (Netem.create ~seed:29 ~policy:{ Netem.default_policy with loss = l } ()))
-  | None -> ());
+let rig ?loss ?(mode = Reactor) ?(wrap = Fun.id) ?(on_fs = ignore) ~sizes ~until f =
+  let netem =
+    Option.map (fun l -> Netem.create ~seed:29 ~policy:{ Netem.default_policy with loss = l } ()) loss
+  in
+  let tb = fresh ?netem () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
   let fs, root, bodies = make_root sizes in
   on_fs fs;
-  let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-  let sock = wrap (Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack)) in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-  let server_stats = ref None in
+  let sock = wrap (fst (server_sock Freebsd server)) in
+  let cstack = Clientos.freebsd_host chost ~ip:client_ip ~mask in
   let reactor = Reactor.create () in
-  Clientos.spawn server ~name:"httpd" (fun () ->
-      ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
-      ok (sock.Io_if.so_listen ~backlog:16);
-      match mode with
-      | `Reactor ->
-          server_stats := Some (Httpd.serve_reactor ~reactor ~root ~sock ());
-          Reactor.run reactor ~until
-      | `Threads ->
-          server_stats :=
-            Some
-              (Httpd.serve_threaded
-                 ~spawn:(fun g -> Clientos.spawn server g)
-                 ~root ~sock ()));
+  let stats = serve_httpd ~mode ~backlog:16 ~reactor ~until server sock root in
   f chost cstack bodies;
   Clientos.run tb ~until;
-  Option.get !server_stats
+  stats ()
 
 (* ---- client helpers ---- *)
-
-let push_str s frag =
-  let b = Bytes.of_string frag in
-  let rec go off =
-    if off < Bytes.length b then
-      match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-      | Ok n -> go (off + n)
-      | Error _ -> ()
-  in
-  go 0
-
-let index_of s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go 0
-
-let content_length hdr =
-  match index_of (String.lowercase_ascii hdr) "content-length:" with
-  | None -> None
-  | Some i -> (
-      let rest = String.sub hdr (i + 15) (String.length hdr - i - 15) in
-      let line =
-        match String.index_opt rest '\r' with
-        | Some j -> String.sub rest 0 j
-        | None -> rest
-      in
-      int_of_string_opt (String.trim line))
-
-(* A Content-Length framer over one connection: [framer s] returns a
-   thunk that reads the next (header, body) pair, or None at EOF. *)
-let framer s =
-  let buf = Bytes.create 4096 in
-  let acc = Buffer.create 4096 in
-  let consumed = ref 0 in
-  let rec fill need =
-    if Buffer.length acc - !consumed >= need then true
-    else
-      match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-      | Ok 0 | Error _ -> false
-      | Ok n ->
-          Buffer.add_subbytes acc buf 0 n;
-          fill need
-  in
-  let avail () =
-    String.sub (Buffer.contents acc) !consumed (Buffer.length acc - !consumed)
-  in
-  let rec hdr_end () =
-    match index_of (avail ()) "\r\n\r\n" with
-    | Some i -> Some i
-    | None -> if fill (Buffer.length acc - !consumed + 1) then hdr_end () else None
-  in
-  fun () ->
-    match hdr_end () with
-    | None -> None
-    | Some he -> (
-        let hdr = String.sub (avail ()) 0 he in
-        match content_length hdr with
-        | None -> None
-        | Some len ->
-            if fill (he + 4 + len) then begin
-              let body = String.sub (avail ()) (he + 4) len in
-              consumed := !consumed + he + 4 + len;
-              if Buffer.length acc - !consumed = 0 then begin
-                Buffer.clear acc;
-                consumed := 0
-              end;
-              Some (hdr, body)
-            end
-            else None)
 
 let get_request fi = Printf.sprintf "GET /%s HTTP/1.1\r\nHost: b\r\n\r\n" (file_name fi)
 
 let status_of hdr = if String.length hdr >= 12 then String.sub hdr 9 3 else "???"
-
-let drain s =
-  let buf = Bytes.create 4096 in
-  let acc = Buffer.create 4096 in
-  let rec go () =
-    match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-    | Ok 0 | Error _ -> ()
-    | Ok n ->
-        Buffer.add_subbytes acc buf 0 n;
-        go ()
-  in
-  go ();
-  Buffer.contents acc
 
 (* ------------------------------------------------------------------ *)
 (* The request scanner: one-byte drips cost one cursor step per byte
@@ -266,7 +135,7 @@ let keepalive_sequence mode =
                 let next = framer s in
                 List.iter
                   (fun fi ->
-                    push_str s (get_request fi);
+                    send_string s (get_request fi);
                     match next () with
                     | Some (hdr, body) ->
                         ka_results := (status_of hdr, body) :: !ka_results
@@ -287,7 +156,7 @@ let keepalive_sequence mode =
                    (fun fi ->
                      let s = Bsd_socket.tcp_socket cstack in
                      ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                     push_str s
+                     send_string s
                        (Printf.sprintf "GET /%s HTTP/1.0\r\n\r\n" (file_name fi));
                      let resp = drain s in
                      let body =
@@ -305,8 +174,8 @@ let keepalive_sequence mode =
   Alcotest.(check int) "every request after the first counted as reuse"
     (List.length reqs - 1) st.Httpd.reused
 
-let test_keepalive_sequence_reactor () = keepalive_sequence `Reactor
-let test_keepalive_sequence_threaded () = keepalive_sequence `Threads
+let test_keepalive_sequence_reactor () = keepalive_sequence Reactor
+let test_keepalive_sequence_threaded () = keepalive_sequence Threads
 
 (* ------------------------------------------------------------------ *)
 (* Pipelining: a burst of requests sent before any response is read
@@ -326,7 +195,7 @@ let test_pipelined_in_order () =
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
                 let b = Buffer.create 256 in
                 List.iter (fun fi -> Buffer.add_string b (get_request fi)) order;
-                push_str s (Buffer.contents b);
+                send_string s (Buffer.contents b);
                 let next = framer s in
                 List.iter
                   (fun _ ->
@@ -361,7 +230,7 @@ let test_idle_timeout () =
                 Kclock.sleep_ns 3_000_000;
                 let s = Bsd_socket.tcp_socket cstack in
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s (get_request 0);
+                send_string s (get_request 0);
                 let next = framer s in
                 (match next () with Some _ -> served := true | None -> ());
                 (* Go idle: the next read must see the server's close,
@@ -391,13 +260,13 @@ let test_max_reqs_cap () =
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
                 let next = framer s in
                 for fi = 0 to 1 do
-                  push_str s (get_request fi);
+                  send_string s (get_request fi);
                   match next () with
                   | Some (hdr, _) -> hdrs := hdr :: !hdrs
                   | None -> ()
                 done;
                 (* The server hung up after the capped response. *)
-                push_str s (get_request 2);
+                send_string s (get_request 2);
                 (match next () with None -> eof := true | Some _ -> ());
                 ignore (Bsd_socket.so_close s))))
   in
@@ -427,7 +296,7 @@ let fetch_one ~sendfile ~loss size =
                 Kclock.sleep_ns 3_000_000;
                 let s = Bsd_socket.tcp_socket cstack in
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s (get_request 0);
+                send_string s (get_request 0);
                 (match framer s () with
                 | Some (hdr, b) when status_of hdr = "200" -> body := Some b
                 | _ -> ());
@@ -524,7 +393,7 @@ let pipeline8 ?sndbuf ?close_at () =
                 Kclock.sleep_ns 3_000_000;
                 let s = Bsd_socket.tcp_socket cstack in
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s
+                send_string s
                   (String.concat ""
                      (List.mapi
                         (fun i fi ->
@@ -551,6 +420,7 @@ let pipeline8 ?sndbuf ?close_at () =
   Alcotest.(check int) "every pin released exactly once" (b.Buf.cs_pins - b.Buf.cs_unpins)
     (s.Buf.cs_pins - s.Buf.cs_unpins);
   Alcotest.(check int) "buffers held back at the baseline" b.Buf.cs_pinned s.Buf.cs_pinned;
+  Alcotest.(check int) "no pin released twice" 0 s.Buf.cs_bad_unpins;
   (List.rev !got, expect, st, !calls, s.Buf.cs_pins - b.Buf.cs_pins)
 
 let check_replies what replies expect =
@@ -644,12 +514,37 @@ let test_buf_all_pinned_grows () =
   let s = Buf.cache_stats bc in
   Alcotest.(check bool) "next miss shrinks back to max_bufs" true (s.Buf.cs_cached <= 2)
 
+(* A sendfile pin released twice: the second release finds the buffer
+   unreferenced, so its count stays clamped at 0 and the fault is
+   counted instead of passing unnoticed. *)
+let test_buf_double_release_counted () =
+  let fs, root, _ = make_root [ 4096 ] in
+  let f =
+    match ok (root.Io_if.d_lookup (file_name 0)) with
+    | Io_if.Node_file f -> f
+    | Io_if.Node_dir _ -> Alcotest.fail "f0.bin is a directory"
+  in
+  let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
+  let fr = List.hd (ok (fm.Io_if.fm_map_blocks ~offset:0 ~amount:4096)) in
+  let bc = fs.Ffs.bc in
+  let b =
+    Hashtbl.fold (fun _ b acc -> if b.Buf.b_data == fr.Io_if.fr_data then Some b else acc)
+      bc.Buf.cache None
+  in
+  let bad () = (Buf.cache_stats bc).Buf.cs_bad_unpins in
+  fr.Io_if.fr_release ();
+  Alcotest.(check int) "the mapping's own release is no fault" 0 (bad ());
+  fr.Io_if.fr_release ();
+  Alcotest.(check int) "the second release is counted" 1 (bad ());
+  Alcotest.(check int) "the reference count stays at 0" 0 (Option.get b).Buf.b_refs
+
 (* ------------------------------------------------------------------ *)
 (* Flags off: the stock HTTP/1.0 engine runs, and none of the new
    keep-alive/sendfile counters move.                                   *)
 
 let test_flags_off_untouched () =
-  let resp = ref "" and done_f = ref false in
+  let expect = String.init 4096 (fun i -> Char.chr (pattern ~file:1 i)) in
+  let ok_200 = ref false and done_f = ref false in
   let st =
     rig ~sizes:sizes3
       ~until:(fun () -> !done_f)
@@ -658,19 +553,12 @@ let test_flags_off_untouched () =
             Kclock.sleep_ns 3_000_000;
             let s = Bsd_socket.tcp_socket cstack in
             ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-            push_str s "GET /f1.bin HTTP/1.0\r\n\r\n";
-            resp := drain s;
+            send_string s "GET /f1.bin HTTP/1.0\r\n\r\n";
+            ok_200 := read_200 s ~expect;
             ignore (Bsd_socket.so_close s);
             done_f := true))
   in
-  let expect = String.init 4096 (fun i -> Char.chr (pattern ~file:1 i)) in
-  Alcotest.(check bool) "stock HTTP/1.0 close-per-request response" true
-    (String.length !resp > 12
-    && String.sub !resp 0 12 = "HTTP/1.0 200"
-    &&
-    match index_of !resp "\r\n\r\n" with
-    | Some i -> String.sub !resp (i + 4) (String.length !resp - i - 4) = expect
-    | None -> false);
+  Alcotest.(check bool) "stock HTTP/1.0 close-per-request response" true !ok_200;
   Alcotest.(check int) "no reuse counted" 0 st.Httpd.reused;
   Alcotest.(check int) "no pipelining counted" 0 st.Httpd.pipelined;
   Alcotest.(check int) "no idle closes" 0 st.Httpd.idle_closed;
@@ -701,6 +589,8 @@ let suite =
       test_buf_pinned_never_evicted;
     Alcotest.test_case "buf cache: all-pinned cache grows, never steals" `Quick
       test_buf_all_pinned_grows;
+    Alcotest.test_case "buf cache: a sendfile pin released twice is counted" `Quick
+      test_buf_double_release_counted;
     Alcotest.test_case "pipeline: 8 sendfile responses leave in one sendv, pins back"
       `Quick test_pipeline_one_send;
     Alcotest.test_case "pipeline: a 2 KB send buffer drains the batch byte-exact" `Quick

@@ -4,41 +4,27 @@
    reordering in both stacks, and the TIME_WAIT expiry purge on the
    Linux wall-clock path. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+open Testbed
 
 (* Run [f] with the long-fat knobs set, restoring them afterwards so the
    rest of the suite keeps the seed-faithful defaults. *)
 let with_longfat ?(wscale = true) ?(autotune = true) f =
-  let ws = Cost.config.Cost.tcp_wscale and at = Cost.config.Cost.tcp_autotune in
-  Cost.config.Cost.tcp_wscale <- wscale;
-  Cost.config.Cost.tcp_autotune <- autotune;
-  Fun.protect
-    ~finally:(fun () ->
-      Cost.config.Cost.tcp_wscale <- ws;
-      Cost.config.Cost.tcp_autotune <- at)
+  Cost.with_config
+    (fun c ->
+      c.Cost.tcp_wscale <- wscale;
+      c.Cost.tcp_autotune <- autotune)
     f
 
 (* Position-dependent payload so any misordered or duplicated byte shows
    up as a content mismatch, not just a length error. *)
 let pattern i = (i * 131) lxor (i lsr 8) land 0xff
 
-let fresh_testbed ?latency_ns () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  Clientos.make_testbed ~models:("3c905", "tulip") ?latency_ns ()
-
 (* One bulk transfer on the Linux stack; returns (byte_exact, client sock,
    stacks) so callers can pin estimator / flow-control internals. *)
 let linux_transfer ?latency_ns ?netem ?(bytes = 128 * 1024) ?(rcv_stall_ns = 0) () =
-  let tb = fresh_testbed ?latency_ns () in
+  let tb = fresh ?latency_ns ?netem () in
   let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-  (match netem with Some em -> Wire.set_netem tb.Clientos.wire (Some em) | None -> ());
   let mism = ref 0 and received = ref 0 and done_flag = ref false in
   let client_sock = ref None in
   Clientos.spawn tb.Clientos.host_b ~name:"lf-srv" (fun () ->
@@ -85,10 +71,9 @@ let linux_transfer ?latency_ns ?netem ?(bytes = 128 * 1024) ?(rcv_stall_ns = 0) 
 
 (* Same shape on the BSD stack. *)
 let bsd_transfer ?latency_ns ?netem ?(bytes = 128 * 1024) () =
-  let tb = fresh_testbed ?latency_ns () in
+  let tb = fresh ?latency_ns ?netem () in
   let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-  (match netem with Some em -> Wire.set_netem tb.Clientos.wire (Some em) | None -> ());
   let mism = ref 0 and received = ref 0 and done_flag = ref false in
   let client_sock = ref None and server_sock = ref None in
   Clientos.spawn tb.Clientos.host_b ~name:"lf-srv" (fun () ->
@@ -211,7 +196,7 @@ let test_karn_reordering_bsd () =
    purged. *)
 
 let test_linux_time_wait_expiry_purges () =
-  let tb = fresh_testbed () in
+  let tb = fresh () in
   let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
   let client_sock = ref None and closed = ref false in
@@ -297,7 +282,7 @@ let test_autotune_converges_to_bdp () =
      detector has had the whole transfer to react. *)
   let measure_linux () =
     with_longfat (fun () ->
-        let tb = fresh_testbed ~latency_ns:(rtt_ns / 2) () in
+        let tb = fresh ~latency_ns:(rtt_ns / 2) () in
         let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
         let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
         let final = ref 0 and done_flag = ref false in
@@ -335,7 +320,7 @@ let test_autotune_converges_to_bdp () =
   in
   let measure_bsd () =
     with_longfat (fun () ->
-        let tb = fresh_testbed ~latency_ns:(rtt_ns / 2) () in
+        let tb = fresh ~latency_ns:(rtt_ns / 2) () in
         let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
         let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
         let final = ref 0 and done_flag = ref false in
@@ -383,11 +368,9 @@ let test_autotune_converges_to_bdp () =
    the bigger segment on SYN (MSS option), carry it end to end, and a
    mixed pair must clamp to the smaller side's offer. *)
 let test_jumbo_mss () =
-  let saved = Cost.config.Cost.tcp_mss in
-  Fun.protect
-    ~finally:(fun () -> Cost.config.Cost.tcp_mss <- saved)
+  Cost.with_config
+    (fun c -> c.Cost.tcp_mss <- 9000)
     (fun () ->
-      Cost.config.Cost.tcp_mss <- 9000;
       with_longfat (fun () ->
           let byte_exact, s, _, _ = linux_transfer ~bytes:(512 * 1024) () in
           Alcotest.(check bool) "linux: byte-exact at MSS 9000" true byte_exact;

@@ -2,9 +2,7 @@
    emulation (Section 4.7.7), fdev probing, and the Linux IDE driver path
    through the blkio COM interface. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
+open Testbed
 
 (* ---- exec ---- *)
 
@@ -154,8 +152,7 @@ let test_bsd_malloc_free_checks () =
 (* ---- fdev probing + osenv ---- *)
 
 let test_fdev_probe_and_lookup () =
-  Fdev.clear_drivers ();
-  Linux_glue.reset ();
+  teardown ();
   let w = World.create () in
   let wire = Wire.create w in
   let m = Machine.create ~name:"probe-pc" w in
@@ -177,8 +174,7 @@ let test_fdev_probe_and_lookup () =
   let found = Fdev.probe osenv in
   Alcotest.(check int) "probe found eth + disk, skipped unknown chip" 2 found;
   Alcotest.(check int) "one etherdev" 1 (List.length (Fdev.lookup osenv Io_if.etherdev_iid));
-  Alcotest.(check int) "one blkio" 1 (List.length (Fdev.lookup osenv Io_if.blkio_iid));
-  Fdev.clear_drivers ()
+  Alcotest.(check int) "one blkio" 1 (List.length (Fdev.lookup osenv Io_if.blkio_iid))
 
 let test_osenv_services () =
   let w = World.create () in
@@ -208,8 +204,7 @@ let test_osenv_services () =
 (* ---- Linux IDE driver through the COM blkio ---- *)
 
 let test_ide_blkio_path () =
-  Fdev.clear_drivers ();
-  Linux_glue.reset ();
+  teardown ();
   let w = World.create () in
   let m = Machine.create ~name:"ide-pc" w in
   let sched = Thread.create_sched m in
@@ -244,8 +239,7 @@ let test_ide_blkio_path () =
          let rec find i =
            i + 7 <= String.length s && (String.sub s i 7 = "written" || find (i + 1))
          in
-         find 0);
-      Fdev.clear_drivers ()
+         find 0)
   | l -> Alcotest.failf "expected 1 blkio device, found %d" (List.length l)
 
 let suite =

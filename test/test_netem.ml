@@ -4,12 +4,7 @@
    duplicate-segment accounting, and the bounded/backoff ARP queues on
    both stacks. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+open Testbed
 
 (* ------------------------------------------------------------------ *)
 (* The emulator in isolation.                                          *)
@@ -109,105 +104,6 @@ let test_per_port_policy () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: ttcp through the emulator, all three configurations.    *)
 
-type config = Oskit | Freebsd | Linux
-
-type sock = {
-  send : bytes -> int -> int;
-  recv : bytes -> int -> int;
-  close : unit -> unit;
-}
-
-type stack_stats = {
-  rexmits : unit -> int;
-  badsum : unit -> int; (* IP + TCP checksum drops *)
-  dups : unit -> int;
-}
-
-let bsd_stats (stack : Bsd_socket.stack) =
-  let s = stack.Bsd_socket.tcp.Tcp.stats in
-  { rexmits = (fun () -> s.Tcp.sndrexmitpack + s.Tcp.fastrexmit);
-    badsum = (fun () -> stack.Bsd_socket.ip.Ip.badsum + s.Tcp.rcvbadsum);
-    dups = (fun () -> s.Tcp.rcvdup) }
-
-let linux_stats (stack : Linux_inet.stack) =
-  { rexmits = (fun () -> stack.Linux_inet.rexmits);
-    badsum = (fun () -> stack.Linux_inet.ipbadsum + stack.Linux_inet.tcpbadsum);
-    dups = (fun () -> stack.Linux_inet.rcvdup) }
-
-(* Prepare one host of the testbed in [config]; returns (serve, connect,
-   stats) — the same role-neutral shape the benches use, so the three
-   configurations interoperate freely on the shared wire. *)
-let setup config host ~addr =
-  match config with
-  | Oskit ->
-      let env, stack = Clientos.oskit_host host ~ip:addr ~mask in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let fd = ok (Posix.socket env Io_if.Sock_stream) in
-            ok (Posix.bind env fd { Io_if.sin_addr = addr; sin_port = port });
-            ok (Posix.listen env fd ~backlog:2);
-            let conn, _ = ok (Posix.accept env fd) in
-            k
-              { send = (fun b len -> ok (Posix.send env conn b ~pos:0 ~len));
-                recv = (fun b len -> ok (Posix.recv env conn b ~pos:0 ~len));
-                close = (fun () -> ignore (Posix.close env conn)) })
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let fd = ok (Posix.socket env Io_if.Sock_stream) in
-            ok (Posix.connect env fd { Io_if.sin_addr = dst; sin_port = port });
-            k
-              { send = (fun b len -> ok (Posix.send env fd b ~pos:0 ~len));
-                recv = (fun b len -> ok (Posix.recv env fd b ~pos:0 ~len));
-                close = (fun () -> ignore (Posix.shutdown env fd)) })
-      in
-      serve, connect, bsd_stats stack
-  | Freebsd ->
-      let stack = Clientos.freebsd_host host ~ip:addr ~mask in
-      let of_tsock s =
-        { send = (fun b len -> ok (Bsd_socket.so_send s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> ok (Bsd_socket.so_recv s ~buf:b ~pos:0 ~len));
-          close = (fun () -> ignore (Bsd_socket.so_close s)) }
-      in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let ls = Bsd_socket.tcp_socket stack in
-            ok (Bsd_socket.so_bind ls ~port);
-            ok (Bsd_socket.so_listen ls ~backlog:2);
-            k (of_tsock (ok (Bsd_socket.so_accept ls))))
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let s = Bsd_socket.tcp_socket stack in
-            ok (Bsd_socket.so_connect s ~dst ~dport:port);
-            k (of_tsock s))
-      in
-      serve, connect, bsd_stats stack
-  | Linux ->
-      let stack = Clientos.linux_host host ~ip:addr ~mask in
-      let of_sock s =
-        { send = (fun b len -> ok (Linux_inet.send stack s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> ok (Linux_inet.recv stack s ~buf:b ~pos:0 ~len));
-          close = (fun () -> Linux_inet.close stack s) }
-      in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let ls = Linux_inet.socket stack in
-            Linux_inet.bind stack ls ~port;
-            Linux_inet.listen stack ls ~backlog:2;
-            k (of_sock (ok (Linux_inet.accept stack ls))))
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let s = Linux_inet.socket stack in
-            ok (Linux_inet.connect stack s ~dst ~dport:port);
-            k (of_sock s))
-      in
-      serve, connect, linux_stats stack
-
 (* Position-dependent payload: a duplicated, reordered, or damaged byte
    that leaked through TCP lands at the wrong offset and is caught. *)
 let pattern pos = (pos * 131) land 0xff
@@ -215,16 +111,13 @@ let pattern pos = (pos * 131) land 0xff
 (* ttcp from a [sender]-config host to a FreeBSD-native receiver under a
    fault plan; returns (byte_exact, sender_stats, receiver_stats, testbed). *)
 let run_transfer ?netem ?fault ~sender ~blocks ~blocksize () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  (match netem with Some em -> Wire.set_netem tb.Clientos.wire (Some em) | None -> ());
+  let tb = fresh ?netem () in
   (match fault with
   | Some f -> Wire.set_fault_injector tb.Clientos.wire (Some f)
   | None -> ());
   let total = blocks * blocksize in
-  let serve, _, rstats = setup Freebsd tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, sstats = setup sender tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let serve, _, rstats = setup Freebsd tb.Clientos.host_b ~addr:server_ip in
+  let _, connect, sstats = setup sender tb.Clientos.host_a ~addr:client_ip in
   let recv_done = ref false and mismatches = ref 0 and received = ref 0 in
   serve ~port:6001 (fun s ->
       let buf = Bytes.create 16384 in
@@ -232,7 +125,7 @@ let run_transfer ?netem ?fault ~sender ~blocks ~blocksize () =
         match s.recv buf 16384 with
         | 0 ->
             recv_done := true;
-            s.close ()
+            ignore (s.close ())
         | n ->
             for i = 0 to n - 1 do
               if Char.code (Bytes.get buf i) <> pattern (!received + i) then incr mismatches
@@ -241,7 +134,7 @@ let run_transfer ?netem ?fault ~sender ~blocks ~blocksize () =
             loop ()
       in
       loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:6001 (fun s ->
+  connect ~dst:server_ip ~port:6001 (fun s ->
       let block = Bytes.create blocksize in
       for b = 0 to blocks - 1 do
         for i = 0 to blocksize - 1 do
@@ -249,7 +142,7 @@ let run_transfer ?netem ?fault ~sender ~blocks ~blocksize () =
         done;
         if s.send block blocksize <> blocksize then Alcotest.fail "short send"
       done;
-      s.close ());
+      ignore (s.close ()));
   Clientos.run tb ~until:(fun () -> !recv_done);
   (!mismatches = 0 && !received = total), sstats, rstats, tb
 
@@ -289,7 +182,7 @@ let test_corruption_detected () =
   let c = Netem.counters em in
   Alcotest.(check bool) "frames were corrupted" true (c.Netem.corrupted >= 1);
   Alcotest.(check int) "every damaged frame caught by a checksum" c.Netem.corrupted
-    (rstats.badsum ());
+    (rstats.ip_badsum () + rstats.tcp_badsum ());
   Alcotest.(check bool) "stream survived byte-exact" true byte_exact
 
 let test_duplicate_segments () =
@@ -312,9 +205,7 @@ let test_duplicate_segments () =
    16 (drop-head beyond that), requests back off 0.5 s -> 8 s, and when the
    retries are exhausted every queued waiter is failed so nothing leaks. *)
 let test_arp_bounded_queue_and_give_up () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+  let tb = fresh () in
   let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let drops = ref 0 and resolved = ref 0 in
   Clientos.spawn tb.Clientos.host_a (fun () ->
@@ -354,9 +245,7 @@ let test_arp_retry_recovers_after_partition () =
    must end in Timedout — not an infinite retransmit loop — with the ARP
    give-up and the retransmit give-up both accounted. *)
 let test_linux_unreachable_times_out () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c59x", "lance") () in
+  let tb = fresh ~models:("3c59x", "lance") () in
   let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let result = ref None in
   Clientos.spawn tb.Clientos.host_a (fun () ->

@@ -2,7 +2,7 @@
    TCP sequence arithmetic, ARP, IP fragmentation, UDP, ICMP, and the
    buffer-translation glue. *)
 
-let ip = Oskit.ip_of_string
+open Testbed
 
 (* ---- mbufs ---- *)
 
@@ -175,26 +175,10 @@ let test_seq_wraparound () =
   Alcotest.(check bool) "diff across wrap" true (Tcp.seq_diff 0x0 0xffffffff = 1);
   Alcotest.(check bool) "equal" true (Tcp.seq_leq 5 5 && Tcp.seq_geq 5 5)
 
-(* ---- a two-host raw-IP rig over the simulated wire ---- *)
-
-let make_pair () =
-  let w = World.create () in
-  let wire = Wire.create w in
-  let mk name mac ipaddr =
-    let machine = Machine.create ~name w in
-    let _kern = Kernel.create machine in
-    let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
-    let stack = Bsd_socket.create_stack machine ~hwaddr:(Nic.mac nic) ~name in
-    Native_if.attach stack nic;
-    Bsd_socket.ifconfig stack ~addr:(ip ipaddr) ~mask:(ip "255.255.255.0");
-    machine, stack
-  in
-  let ma, sa = mk "parts-a" "\x02\x00\x00\x00\x00\xaa" "10.1.0.1" in
-  let mb, sb = mk "parts-b" "\x02\x00\x00\x00\x00\xbb" "10.1.0.2" in
-  w, ma, sa, mb, sb
+(* ---- raw IP between two bare hosts (Testbed.bsd_pair) ---- *)
 
 let test_arp_resolution () =
-  let w, ma, sa, _mb, sb = make_pair () in
+  let { world = w; ma; sa; sb; _ } = bsd_pair ~name:"parts" ~net:"10.1.0" () in
   let resolved = ref None in
   Machine.run_in ma (fun () ->
       Arp.resolve sa.Bsd_socket.arp (ip "10.1.0.2") (fun mac -> resolved := Some mac));
@@ -208,7 +192,7 @@ let test_arp_resolution () =
   Alcotest.(check int) "no second request" 1 sa.Bsd_socket.arp.Arp.requests_sent
 
 let test_icmp_echo () =
-  let w, ma, sa, _mb, sb = make_pair () in
+  let { world = w; ma; sa; sb; _ } = bsd_pair ~name:"parts" ~net:"10.1.0" () in
   let reply = ref None in
   sa.Bsd_socket.icmp.Icmp.on_echo_reply <-
     (fun ~ident ~seq ~payload -> reply := Some (ident, seq, Bytes.to_string payload));
@@ -221,7 +205,7 @@ let test_icmp_echo () =
   Alcotest.(check int) "b answered one echo" 1 sb.Bsd_socket.icmp.Icmp.echoes_answered
 
 let test_ip_fragmentation () =
-  let w, ma, sa, _mb, sb = make_pair () in
+  let { world = w; ma; sa; sb; _ } = bsd_pair ~name:"parts" ~net:"10.1.0" () in
   (* Register a raw protocol on both sides and send a 5000-byte datagram:
      it must fragment (MTU 1500) and reassemble. *)
   let received = ref None in
@@ -243,7 +227,7 @@ let test_ip_fragmentation () =
   Alcotest.(check int) "receiver reassembled once" 1 sb.Bsd_socket.ip.Ip.reassembled
 
 let test_udp_roundtrip () =
-  let w, ma, sa, mb, sb = make_pair () in
+  let { world = w; ma; sa; mb; sb; _ } = bsd_pair ~name:"parts" ~net:"10.1.0" () in
   let ka = Thread.create_sched ma and kb = Thread.create_sched mb in
   Thread.install ka;
   Thread.install kb;
@@ -272,7 +256,7 @@ let test_udp_roundtrip () =
   Alcotest.(check (option string)) "client got reply" (Some "pong") !answer
 
 let test_udp_checksum_rejects_corruption () =
-  let w, ma, sa, _mb, sb = make_pair () in
+  let { world = w; ma; sa; sb; _ } = bsd_pair ~name:"parts" ~net:"10.1.0" () in
   (* Corrupt every frame in transit by flipping a payload bit: attach a
      malicious hub port. *)
   let _ = w in

@@ -5,17 +5,7 @@
    slow-client guards.  Everything is default-off, so the last test pins
    the flags-off world untouched and the rest turn one knob at a time. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
-
-let fresh_testbed ?latency_ns () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  Clientos.make_testbed ~models:("3c905", "tulip") ?latency_ns ()
+open Testbed
 
 (* Set the overload knobs for [f], restoring the seed defaults after, and
    re-seed the allocation injector on both edges so no test leaks failure
@@ -26,41 +16,23 @@ let with_overload ?(syn_defense = false) ?(syncache_size = 64) ?(tw_max = 0)
     ?(alloc_fail_burst = 1) ?(httpd_guard = false)
     ?(httpd_header_deadline_ns = 1_000_000_000) ?(httpd_max_header_bytes = 4096)
     ?(httpd_shed_hiwat = 0) f =
-  let c = Cost.config in
-  let saved =
-    ( c.Cost.syn_defense, c.Cost.syncache_size, c.Cost.tw_max, c.Cost.icmp_ratelimit,
-      c.Cost.alloc_fail_prob, c.Cost.alloc_fail_seed, c.Cost.alloc_fail_burst,
-      ( c.Cost.httpd_guard, c.Cost.httpd_header_deadline_ns,
-        c.Cost.httpd_max_header_bytes, c.Cost.httpd_shed_hiwat ) )
+  let set c =
+    c.Cost.syn_defense <- syn_defense;
+    c.Cost.syncache_size <- syncache_size;
+    c.Cost.tw_max <- tw_max;
+    c.Cost.icmp_ratelimit <- icmp_ratelimit;
+    c.Cost.alloc_fail_prob <- alloc_fail_prob;
+    c.Cost.alloc_fail_seed <- alloc_fail_seed;
+    c.Cost.alloc_fail_burst <- alloc_fail_burst;
+    c.Cost.httpd_guard <- httpd_guard;
+    c.Cost.httpd_header_deadline_ns <- httpd_header_deadline_ns;
+    c.Cost.httpd_max_header_bytes <- httpd_max_header_bytes;
+    c.Cost.httpd_shed_hiwat <- httpd_shed_hiwat
   in
-  c.Cost.syn_defense <- syn_defense;
-  c.Cost.syncache_size <- syncache_size;
-  c.Cost.tw_max <- tw_max;
-  c.Cost.icmp_ratelimit <- icmp_ratelimit;
-  c.Cost.alloc_fail_prob <- alloc_fail_prob;
-  c.Cost.alloc_fail_seed <- alloc_fail_seed;
-  c.Cost.alloc_fail_burst <- alloc_fail_burst;
-  c.Cost.httpd_guard <- httpd_guard;
-  c.Cost.httpd_header_deadline_ns <- httpd_header_deadline_ns;
-  c.Cost.httpd_max_header_bytes <- httpd_max_header_bytes;
-  c.Cost.httpd_shed_hiwat <- httpd_shed_hiwat;
-  Memfault.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      let sd, sz, tw, rl, ap, asd, ab, (hg, hd, hm, hs) = saved in
-      c.Cost.syn_defense <- sd;
-      c.Cost.syncache_size <- sz;
-      c.Cost.tw_max <- tw;
-      c.Cost.icmp_ratelimit <- rl;
-      c.Cost.alloc_fail_prob <- ap;
-      c.Cost.alloc_fail_seed <- asd;
-      c.Cost.alloc_fail_burst <- ab;
-      c.Cost.httpd_guard <- hg;
-      c.Cost.httpd_header_deadline_ns <- hd;
-      c.Cost.httpd_max_header_bytes <- hm;
-      c.Cost.httpd_shed_hiwat <- hs;
-      Memfault.reset ())
-    f
+  Fun.protect ~finally:Memfault.reset (fun () ->
+      Cost.with_config set (fun () ->
+          Memfault.reset ();
+          f ()))
 
 (* Craft one option-less TCP segment and push it out through [cstack]'s IP
    layer with an arbitrary (spoofable) source address — the attacker's
@@ -91,7 +63,7 @@ let send_raw_tcp cstack ~src ~sport ~dst ~dport ~seq ~ack ~flags =
 
 let cookie_rigs =
   lazy
-    (let tb = fresh_testbed () in
+    (let tb = fresh () in
      let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
      let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
      (sa.Bsd_socket.tcp, sb))
@@ -121,7 +93,7 @@ let prop_cookie_roundtrip =
 
 let test_syncache_eviction_and_listener_close () =
   with_overload ~syn_defense:true ~syncache_size:4 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = fresh () in
       let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
       let bsd_srcs = ref [] and bsd_after_close = ref (-1) in
@@ -182,7 +154,7 @@ let test_syncache_eviction_and_listener_close () =
 
 let flood_then_legit ~linux () =
   with_overload ~syn_defense:true ~syncache_size:16 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = fresh () in
       let cstack = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let served = ref 0 and echoed = ref 0 and finished = ref 0 in
       let legit = 4 and flood = 40 in
@@ -279,7 +251,7 @@ let test_flood_then_legit_linux () = flood_then_legit ~linux:true ()
 
 let cookie_completion ~linux () =
   with_overload ~syn_defense:true (fun () ->
-      let tb = fresh_testbed () in
+      let tb = fresh () in
       let cstack = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let accepted_port = ref 0 and done_flag = ref false in
       let raddr = ip "10.0.0.77" and rport = 5555 and lport = 7300 in
@@ -343,7 +315,7 @@ let test_cookie_completion_linux () = cookie_completion ~linux:true ()
 
 let test_rst_rate_limit_both_stacks () =
   with_overload ~icmp_ratelimit:3 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = fresh () in
       let cstack = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
       let done_flag = ref false in
@@ -370,7 +342,7 @@ let test_rst_rate_limit_both_stacks () =
 
 let test_udp_unreachable_rate_limit () =
   with_overload ~icmp_ratelimit:3 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = fresh () in
       let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
       let done_flag = ref false in
@@ -399,7 +371,7 @@ let test_udp_unreachable_rate_limit () =
 
 let tw_cap ~linux () =
   with_overload ~tw_max:2 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = fresh () in
       let rounds = 5 in
       let served = ref 0 in
       let tw_now, reclaimed =
@@ -493,7 +465,7 @@ let pattern i = (i * 131) lxor (i lsr 8) land 0xff
 let soak_transfer ~linux ~prob ~burst ~seed ~bytes () =
   with_overload ~alloc_fail_prob:prob ~alloc_fail_burst:burst ~alloc_fail_seed:seed
     (fun () ->
-      let tb = fresh_testbed () in
+      let tb = fresh () in
       let mism = ref 0 and received = ref 0 and done_flag = ref false in
       let send_all send buf len =
         let rec go off =
@@ -630,67 +602,24 @@ let test_alloc_soak () =
 
 let file_bytes = 1024
 
-let make_root () =
-  let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
-  let root = ok (Fs_glue.newfs dev) in
-  let f = ok (root.Io_if.d_create "index.html") in
-  let body = Bytes.init file_bytes (fun i -> Char.chr (pattern i)) in
-  let rec push off =
-    if off < file_bytes then
-      match f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(file_bytes - off) with
-      | Ok n -> push (off + n)
-      | Error e -> Alcotest.failf "root write: %s" (Error.to_string e)
-  in
-  push 0;
-  (root, Bytes.to_string body)
+let index_root () =
+  let body = String.init file_bytes (fun i -> Char.chr (pattern i)) in
+  (make_root [ "index.html", body ], body)
 
 let httpd_rig ~until f =
-  let tb = fresh_testbed () in
+  let tb = fresh () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root, expect = make_root () in
-  let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-  let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-  let server_stats = ref None in
+  let root, expect = index_root () in
+  let sock, _ = server_sock Freebsd server in
+  let cstack = Clientos.freebsd_host chost ~ip:client_ip ~mask in
   let reactor = Reactor.create () in
-  Clientos.spawn server ~name:"httpd" (fun () ->
-      ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
-      ok (sock.Io_if.so_listen ~backlog:16);
-      server_stats := Some (Httpd.serve_reactor ~reactor ~root ~sock ());
-      Reactor.run reactor ~until);
+  let stats = serve_httpd ~mode:Reactor ~backlog:16 ~reactor ~until server sock root in
   f tb chost cstack expect;
   Clientos.run tb ~until;
-  Option.get !server_stats
-
-(* Send [frag] fully over a blocking BSD socket. *)
-let push_str s frag =
-  let b = Bytes.of_string frag in
-  let rec go off =
-    if off < Bytes.length b then
-      match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-      | Ok n -> go (off + n)
-      | Error _ -> ()
-  in
-  go 0
-
-let drain_str s =
-  let buf = Bytes.create 4096 in
-  let acc = Buffer.create 2048 in
-  let rec go () =
-    match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-    | Ok 0 | Error _ -> ()
-    | Ok n -> Buffer.add_subbytes acc buf 0 n; go ()
-  in
-  go ();
-  Buffer.contents acc
+  stats ()
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_httpd_deadline_and_header_bound () =
   with_overload ~httpd_guard:true ~httpd_header_deadline_ns:50_000_000
@@ -705,10 +634,10 @@ let test_httpd_deadline_and_header_bound () =
                 Kclock.sleep_ns 3_000_000;
                 let s = Bsd_socket.tcp_socket cstack in
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n";
+                send_string s "GET /index.html HTTP/1.0\r\n";
                 (* Never send the terminator: block in recv until the
                    deadline closes the connection under us. *)
-                let got = drain_str s in
+                let got = drain s in
                 if got = "" then slow_cut := true;
                 ignore (Bsd_socket.so_close s));
             (* Drip-fed oversized headers: cut at the byte bound long
@@ -717,11 +646,11 @@ let test_httpd_deadline_and_header_bound () =
                 Kclock.sleep_ns 4_000_000;
                 let s = Bsd_socket.tcp_socket cstack in
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n";
+                send_string s "GET /index.html HTTP/1.0\r\n";
                 for _ = 1 to 40 do
-                  push_str s "X-Padding: aaaaaaaaaaaaaaaa\r\n"
+                  send_string s "X-Padding: aaaaaaaaaaaaaaaa\r\n"
                 done;
-                let got = drain_str s in
+                let got = drain s in
                 if got = "" then over_cut := true;
                 ignore (Bsd_socket.so_close s));
             (* Slow but legitimate: finishes inside the deadline and must
@@ -730,25 +659,10 @@ let test_httpd_deadline_and_header_bound () =
                 Kclock.sleep_ns 5_000_000;
                 let s = Bsd_socket.tcp_socket cstack in
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n";
+                send_string s "GET /index.html HTTP/1.0\r\n";
                 Kclock.sleep_ns 20_000_000;
-                push_str s "\r\n";
-                let resp = drain_str s in
-                (match String.index_opt resp '\r' with _ -> ());
-                let body_ok =
-                  match
-                    let rec find i =
-                      if i + 4 > String.length resp then None
-                      else if String.sub resp i 4 = "\r\n\r\n" then Some (i + 4)
-                      else find (i + 1)
-                    in
-                    find 0
-                  with
-                  | Some i -> String.sub resp i (String.length resp - i) = expect
-                  | None -> false
-                in
-                if starts_with ~prefix:"HTTP/1.0 200" resp && body_ok then
-                  legit_200 := true;
+                send_string s "\r\n";
+                if read_200 s ~expect then legit_200 := true;
                 ignore (Bsd_socket.so_close s)))
       in
       Alcotest.(check bool) "slowloris was cut with no response" true !slow_cut;
@@ -770,10 +684,10 @@ let test_httpd_shed_503 () =
                 Kclock.sleep_ns 3_000_000;
                 let s = Bsd_socket.tcp_socket cstack in
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n";
+                send_string s "GET /index.html HTTP/1.0\r\n";
                 Kclock.sleep_ns 30_000_000;
-                push_str s "\r\n";
-                let resp = drain_str s in
+                send_string s "\r\n";
+                let resp = drain s in
                 if starts_with ~prefix:"HTTP/1.0 200" resp then got_200 := true;
                 ignore (Bsd_socket.so_close s));
             (* ... so the second is answered 503 + Retry-After and closed
@@ -782,8 +696,8 @@ let test_httpd_shed_503 () =
                 Kclock.sleep_ns 10_000_000;
                 let s = Bsd_socket.tcp_socket cstack in
                 ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n\r\n";
-                let resp = drain_str s in
+                send_string s "GET /index.html HTTP/1.0\r\n\r\n";
+                let resp = drain s in
                 if starts_with ~prefix:"HTTP/1.0 503" resp && contains resp "Retry-After"
                 then got_503 := true;
                 ignore (Bsd_socket.so_close s)))
@@ -801,7 +715,7 @@ let test_httpd_shed_503 () =
 
 let test_flags_off_counters_untouched () =
   Memfault.reset ();
-  let tb = fresh_testbed () in
+  let tb = fresh () in
   let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
   let served = ref false and echoed = ref false in

@@ -1,23 +1,18 @@
 (* The POSIX layer over COM sockets: UDP datagrams through the socket
    factory, descriptor bookkeeping, determinism of the whole simulation. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+open Testbed
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
-
-let make_pair () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("rtl8139", "de4x5") () in
-  let env_a, _ = Clientos.oskit_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-  let env_b, _ = Clientos.oskit_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
+(* A fresh testbed with both hosts in the OSKit configuration; returns it
+   with host a's and host b's POSIX environments. *)
+let posix_pair () =
+  let tb = fresh ~models:("rtl8139", "de4x5") () in
+  let env_a, _ = Clientos.oskit_host tb.Clientos.host_a ~ip:client_ip ~mask in
+  let env_b, _ = Clientos.oskit_host tb.Clientos.host_b ~ip:server_ip ~mask in
   tb, env_a, env_b
 
 let test_udp_posix () =
-  let tb, env_a, env_b = make_pair () in
+  let tb, env_a, env_b = posix_pair () in
   let answer = ref None in
   Clientos.spawn tb.Clientos.host_b ~name:"udp-echo" (fun () ->
       let fd = ok (Posix.socket env_b Io_if.Sock_dgram) in
@@ -45,7 +40,7 @@ let test_udp_posix () =
   Alcotest.(check (option string)) "udp echo through the factory" (Some "QUERY") !answer
 
 let test_udp_connected_send () =
-  let tb, env_a, env_b = make_pair () in
+  let tb, env_a, env_b = posix_pair () in
   let got = ref None in
   Clientos.spawn tb.Clientos.host_b (fun () ->
       let fd = ok (Posix.socket env_b Io_if.Sock_dgram) in
@@ -82,7 +77,7 @@ let test_fd_bookkeeping () =
    rests on. *)
 let test_determinism () =
   let run () =
-    let tb, env_a, env_b = make_pair () in
+    let tb, env_a, env_b = posix_pair () in
     let finished = ref 0 in
     Clientos.spawn tb.Clientos.host_b (fun () ->
         let fd = ok (Posix.socket env_b Io_if.Sock_stream) in

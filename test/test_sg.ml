@@ -2,14 +2,9 @@
    nonlinear sk_buffs, the glue's zero-copy crossing, the recognition-query
    cache, the NIC gather engine, and a ttcp under loss with the path on. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+open Testbed
 
-let with_sg_tx v f =
-  let saved = Cost.config.Cost.sg_tx in
-  Cost.config.Cost.sg_tx <- v;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.sg_tx <- saved) f
+let with_sg_tx v f = Cost.with_config (fun c -> c.Cost.sg_tx <- v) f
 
 (* Cut [s] into fragments at [cuts] (sorted positions), each fragment
    carried in its own backing array at a nonzero offset so stale-offset
@@ -178,8 +173,7 @@ let test_nic_gather_equals_linear () =
 (* ---- the satellite fix: sector-aligned blkio writes go direct ---- *)
 
 let test_blkio_aligned_write_no_copy () =
-  Fdev.clear_drivers ();
-  Linux_glue.reset ();
+  teardown ();
   let w = World.create () in
   let m = Machine.create ~name:"sg-ide" w in
   let sched = Thread.create_sched m in
@@ -233,8 +227,7 @@ let test_blkio_aligned_write_no_copy () =
           finished := true);
       Machine.kick m;
       World.run w ~until:(fun () -> !finished);
-      Alcotest.(check bool) "completed" true !finished;
-      Fdev.clear_drivers ()
+      Alcotest.(check bool) "completed" true !finished
   | l -> Alcotest.failf "expected 1 blkio device, found %d" (List.length l)
 
 (* ---- end to end: ttcp with sg on, under loss, byte-exact ---- *)
@@ -243,7 +236,7 @@ let test_sg_ttcp_byte_exact_under_loss () =
   with_sg_tx true (fun () ->
       let em = Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss = 0.03 } () in
       let byte_exact, _, _, tb =
-        Test_netem.run_transfer ~netem:em ~sender:Test_netem.Oskit ~blocks:32
+        Test_netem.run_transfer ~netem:em ~sender:Oskit ~blocks:32
           ~blocksize:4096 ()
       in
       Alcotest.(check bool) "sg + 3% loss: byte-exact" true byte_exact;
@@ -253,9 +246,6 @@ let test_sg_ttcp_byte_exact_under_loss () =
       Alcotest.(check bool) "sg xmits happened" true (Cost.counters.Cost.sg_xmits > 0))
 
 (* ---- transmit trains: one tcp_output, one crossing ---- *)
-
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
 
 (* Clientos.oskit_host, except that [shim] wraps the transmit netio the
    driver hands back. *)
@@ -287,10 +277,7 @@ type pair = {
 (* An OSKit sender connected to a native FreeBSD receiver that reads to
    end of stream. *)
 let connected_pair ?shim ?netem () =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed () in
-  Option.iter (fun em -> Wire.set_netem tb.Clientos.wire (Some em)) netem;
+  let tb = fresh ?netem () in
   let stack, ed = oskit_stack ?shim tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
   let peer = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
   let received = Buffer.create 4096 and eof = ref false and sock = ref None in
@@ -381,9 +368,9 @@ let test_refused_frames_counted () =
       Alcotest.(check bool) "if_snd empty" true (train_idle p);
       let netstat = Bsd_socket.netstat p.stack in
       Alcotest.(check bool) "netstat reports the refusals" true
-        (Test_overload.contains netstat "(4 not sent by the driver)");
+        (contains netstat "(4 not sent by the driver)");
       Alcotest.(check bool) "netstat reports the trains" true
-        (Test_overload.contains netstat
+        (contains netstat
            (Printf.sprintf "%d frames queued in %d transmit trains" ifp.Netif.if_queued
               ifp.Netif.if_starts)))
 

@@ -5,12 +5,7 @@
    TIME_WAIT) checked against brute-force recomputation while thousands
    of connections churn through TIME_WAIT. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+open Testbed
 
 (* ---- World heap vs a reference model ----
 
@@ -421,9 +416,7 @@ let linux_side tb =
 
 let churn ~make_side ~tw_max () =
   Cost.with_config (fun c -> c.Cost.tw_max <- tw_max) (fun () ->
-      Clientos.reset_globals ();
-      Fdev.clear_drivers ();
-      let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+      let tb = fresh () in
       let side = make_side tb in
       let n = 2000 and workers = 8 in
       (* TIME_WAIT entries in order; evictions must pop the front. *)

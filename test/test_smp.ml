@@ -6,17 +6,7 @@
    aggregation, and cross-CPU end-to-end transfers that must stay
    byte-exact at every CPU count, clean and under loss. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
-
-let with_ncpus n f =
-  let saved = Cost.config.Cost.ncpus in
-  Cost.config.Cost.ncpus <- n;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.ncpus <- saved) f
+open Testbed
 
 (* ------------------------------------------------------------------ *)
 (* Smp: the stub lies are gone.                                        *)
@@ -176,7 +166,7 @@ let prop_direction_symmetry =
 (* Netisr: FIFO per CPU, direct dispatch on the home CPU, bounded.     *)
 
 let test_netisr () =
-  with_ncpus 2 @@ fun () ->
+  Cost.with_config (fun c -> c.Cost.ncpus <- 2) @@ fun () ->
   let w = World.create () in
   let m = Machine.create ~name:"isr-pc" w in
   Cost.reset_counters ();
@@ -258,13 +248,11 @@ let test_nic_rss_queues () =
 let pattern pos = (pos * 131) land 0xff
 
 let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
-  with_ncpus ncpus @@ fun () ->
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
-  if loss > 0.0 then
-    Wire.set_netem tb.Clientos.wire
-      (Some (Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss } ()));
+  let netem =
+    if loss > 0.0 then Some (Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss } ())
+    else None
+  in
+  let tb = fresh ~models:("3c905", "fxp-sim") ~ncpus ?netem () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
   let sstack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
   let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
@@ -357,36 +345,15 @@ let test_shards_sum_to_aggregate () =
 (* ------------------------------------------------------------------ *)
 (* The sharded reactor httpd end-to-end, every response byte-exact.    *)
 
-let index_of s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go 0
-
 let run_httpd ?(loss = 0.0) ~ncpus ~clients () =
-  with_ncpus ncpus @@ fun () ->
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
-  if loss > 0.0 then
-    Wire.set_netem tb.Clientos.wire
-      (Some (Netem.create ~seed:11 ~policy:{ Netem.default_policy with loss } ()));
+  let netem =
+    if loss > 0.0 then Some (Netem.create ~seed:11 ~policy:{ Netem.default_policy with loss } ())
+    else None
+  in
+  let tb = fresh ~models:("3c905", "fxp-sim") ~ncpus ?netem () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
-  let root = ok (Fs_glue.newfs dev) in
   let body = String.init 512 (fun i -> Char.chr (pattern i)) in
-  let f = ok (root.Io_if.d_create "index.html") in
-  (let b = Bytes.of_string body in
-   let rec push off =
-     if off < Bytes.length b then
-       match
-         f.Io_if.f_write ~buf:b ~pos:off ~offset:off ~amount:(Bytes.length b - off)
-       with
-       | Ok n -> push (off + n)
-       | Error e -> Alcotest.failf "write: %s" (Error.to_string e)
-   in
-   push 0);
+  let root = make_root [ "index.html", body ] in
   let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
   let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
   let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in

@@ -2,43 +2,15 @@
    retransmit, connection refusal, listen backlog, RST handling,
    simultaneous close — on the FreeBSD stack over the simulated wire. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+open Testbed
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+(* This file's two bare hosts; each gets fresh machine names. *)
+let instance = ref 0
 
-type rig = {
-  world : World.t;
-  wire : Wire.t;
-  ka : Thread.sched;
-  kb : Thread.sched;
-  ma : Machine.t;
-  mb : Machine.t;
-  sa : Bsd_socket.stack;
-  sb : Bsd_socket.stack;
-}
-
-let fresh = ref 0
-
-let make_rig () =
-  incr fresh;
-  let w = World.create () in
-  let wire = Wire.create w in
-  let mk name mac ipaddr =
-    let machine = Machine.create ~name:(Printf.sprintf "%s-%d" name !fresh) w in
-    let sched = Thread.create_sched machine in
-    Thread.install sched;
-    let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
-    let stack = Bsd_socket.create_stack machine ~hwaddr:mac ~name in
-    Native_if.attach stack nic;
-    Bsd_socket.ifconfig stack ~addr:(ip ipaddr) ~mask;
-    machine, sched, stack
-  in
-  let ma, ka, sa = mk "tcp-a" "\x02\x00\x00\x00\x01\x0a" "10.2.0.1" in
-  let mb, kb, sb = mk "tcp-b" "\x02\x00\x00\x00\x01\x0b" "10.2.0.2" in
-  { world = w; wire; ka; kb; ma; mb; sa; sb }
+let tcp_pair () =
+  incr instance;
+  bsd_pair ~instance:!instance ~name:"tcp" ~net:"10.2.0"
+    ~macs:("\x02\x00\x00\x00\x01\x0a", "\x02\x00\x00\x00\x01\x0b") ()
 
 let spawn_server rig ?(port = 5001) received done_flag =
   Thread.spawn rig.kb ~name:"server" (fun () ->
@@ -69,7 +41,7 @@ let spawn_client rig ?(port = 5001) data =
   Machine.kick rig.ma
 
 let test_loss_recovery () =
-  let rig = make_rig () in
+  let rig = tcp_pair () in
   (* Drop every 13th frame, both directions: data, ACKs, even SYNs. *)
   let n = ref 0 in
   Wire.set_fault_injector rig.wire
@@ -94,7 +66,7 @@ let test_loss_recovery () =
     (stats.Tcp.sndrexmitpack + stats.Tcp.fastrexmit > 0)
 
 let test_fast_retransmit_on_single_drop () =
-  let rig = make_rig () in
+  let rig = tcp_pair () in
   (* Drop exactly one large data frame mid-flow. *)
   let dropped = ref false in
   let count = ref 0 in
@@ -123,7 +95,7 @@ let test_fast_retransmit_on_single_drop () =
     (rig.sb.Bsd_socket.tcp.Tcp.stats.Tcp.rcvoo >= 1)
 
 let test_connection_refused () =
-  let rig = make_rig () in
+  let rig = tcp_pair () in
   let result = ref None in
   Thread.spawn rig.ka (fun () ->
       let s = Bsd_socket.tcp_socket rig.sa in
@@ -137,7 +109,7 @@ let test_connection_refused () =
   | None -> Alcotest.fail "no result"
 
 let test_graceful_close_sequence () =
-  let rig = make_rig () in
+  let rig = tcp_pair () in
   let received = Buffer.create 64 in
   let done_flag = ref false in
   spawn_server rig received done_flag;
@@ -171,7 +143,7 @@ let test_graceful_close_sequence () =
     (List.mem Tcp.Time_wait !client_states && List.mem Tcp.Closed !client_states)
 
 let test_backlog_limit () =
-  let rig = make_rig () in
+  let rig = tcp_pair () in
   (* A listener with backlog 1 that never accepts: the first connection
      establishes (into the queue); later SYNs are dropped and eventually
      time out on the client side. *)
@@ -198,7 +170,7 @@ let test_backlog_limit () =
     (match !second with Some (Error _) -> true | _ -> false)
 
 let test_window_flow_control () =
-  let rig = make_rig () in
+  let rig = tcp_pair () in
   (* The server accepts but reads nothing for a while: the sender must be
      throttled by the advertised window, not crash or spin. *)
   let release = Sleep_record.create () in
@@ -241,7 +213,7 @@ let test_window_flow_control () =
     (World.now rig.world >= 2_000_000_000)
 
 let test_rst_on_abort () =
-  let rig = make_rig () in
+  let rig = tcp_pair () in
   let received = Buffer.create 64 in
   let server_err = ref None in
   Thread.spawn rig.kb ~name:"server" (fun () ->
@@ -278,8 +250,7 @@ let test_rst_on_abort () =
 
 let test_linux_loss_recovery () =
   (* The Linux stack recovers from loss too (coarser: timer-driven). *)
-  Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c59x", "lance") () in
+  let tb = fresh ~models:("3c59x", "lance") () in
   let n = ref 0 in
   Wire.set_fault_injector tb.Clientos.wire
     (Some

@@ -9,9 +9,7 @@
    software, a damaged frame gets no verdict and is caught in software,
    and with sg off the stacks sum exactly what they summed before. *)
 
-let ok = Test_sg.ok
-let ip = Test_sg.ip
-let mask = Test_sg.mask
+open Testbed
 let pattern = Test_sg.pattern
 
 (* ---- reading wire frames ---- *)
@@ -100,10 +98,7 @@ let sink host stack ~port =
 (* A sender on [att] connected to a native FreeBSD receiver that reads to
    end of stream. *)
 let connected ?netem att =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed () in
-  Option.iter (fun em -> Wire.set_netem tb.Clientos.wire (Some em)) netem;
+  let tb = fresh ?netem () in
   let frames = tap tb.Clientos.wire in
   let a = ip "10.0.0.1" and b = ip "10.0.0.2" in
   let stack = stack_on att tb.Clientos.host_a a in
@@ -359,7 +354,7 @@ let test_fragmenter_drops_tso () =
       let netstat = Bsd_socket.netstat p.stack in
       List.iter
         (fun line ->
-          Alcotest.(check bool) ("netstat: " ^ line) true (Test_overload.contains netstat line))
+          Alcotest.(check bool) ("netstat: " ^ line) true (contains netstat line))
         [ "1 TSO packets dropped at the IP fragmenter";
           Printf.sprintf "%d offload bursts cut into %d wire frames"
             Cost.counters.Cost.tso_bursts Cost.counters.Cost.tso_frames;
@@ -402,10 +397,7 @@ type received = {
 (* [data] from a native FreeBSD sender to a receiver on [att] that reads
    to end of stream. *)
 let receive ?netem att data =
-  Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed () in
-  Option.iter (fun em -> Wire.set_netem tb.Clientos.wire (Some em)) netem;
+  let tb = fresh ?netem () in
   let a = ip "10.0.0.1" and b = ip "10.0.0.2" in
   let sender = Clientos.freebsd_host tb.Clientos.host_a ~ip:a ~mask in
   let receiver = stack_on att tb.Clientos.host_b b in
@@ -442,7 +434,7 @@ let test_rx_verified att () =
   let netstat = Bsd_socket.netstat r.receiver in
   List.iter
     (fun line ->
-      Alcotest.(check bool) ("netstat: " ^ line) true (Test_overload.contains netstat line))
+      Alcotest.(check bool) ("netstat: " ^ line) true (contains netstat line))
     [ Printf.sprintf "%d received segments verified by the card"
         Cost.counters.Cost.csum_rx_verified;
       "0 received segments summed in software" ]
@@ -505,7 +497,7 @@ let tso_byte_exact =
           let blocks = max 2 (min 4096 (98304 / write)) in
           let byte_exact, _, _, _ =
             Test_netem.run_transfer ~netem:em
-              ~sender:(if native then Test_netem.Freebsd else Test_netem.Oskit)
+              ~sender:(if native then Freebsd else Oskit)
               ~blocks ~blocksize:write ()
           in
           byte_exact && Cost.counters.Cost.offload_refused = 0))
